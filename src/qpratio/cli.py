@@ -377,7 +377,10 @@ def cmd_bench(args) -> int:
     cap = int(cfg.get("cap", 12))
     seed = int(cfg.get("seed", 0))
     items = cfg["instances"]
-    threads = int(os.environ.get("QPRL_THREADS", "1"))
+    raw = os.environ.get("QPRL_THREADS", "1")
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValidationError(f"QPRL_THREADS must be a positive integer, got {raw!r}")
+    threads = int(raw)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(lambda it: _bench_one(it, algos, cap, seed), items))

@@ -3,8 +3,10 @@
 The relaxation maximizes sum_{i,j} a_ij <w_i, w_j> subject to sum_i w_i^2 = 1
 and |<w_i, w_j>| <= w_i^2 for all pairs, which pushes nonzero vectors toward
 equal lengths.  The solver is a low-rank factorization ascent with soft pair
-penalties; every integer assignment embeds exactly feasibly, so the returned
-objective is never below the best warm start.  No optimality certificate is
+penalties that advances all restarts as one stacked iterate; for s >= 0 the
+penalty gradient uses sign(g) max(0, |g| - s) = g - clip(g, -s, s).  Every
+integer assignment embeds exactly feasibly, so the returned objective is
+never below the best warm start.  No optimality certificate is
 produced or needed downstream.
 """
 
@@ -77,16 +79,6 @@ def sdp_feasibility(sol: GramSolution, tol: float = 1e-6) -> tuple[bool, dict]:
     return (sol.residual_norm1 <= tol and sol.residual_pair <= tol), report
 
 
-def _pair_penalty_grad(g: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """Gradient wrt G of sum_{i != j} max(0, |G_ij| - G_ii)^2, entries independent."""
-    h = np.abs(g) - sq[:, None]
-    np.fill_diagonal(h, 0.0)
-    h = np.maximum(h, 0.0)
-    m = 2.0 * h * np.sign(g)
-    np.fill_diagonal(m, -2.0 * np.sum(h, axis=1))
-    return m
-
-
 def _repair(a: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray] | None:
     """Exact feasibility map: orthogonal tails lift each diagonal to its row max.
 
@@ -107,34 +99,62 @@ def _repair(a: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray] | None:
     return float(np.sum(a * g)) / total, w2
 
 
-def _ascend(a: np.ndarray, d: int, rng, iters: int, tol: float) -> np.ndarray | None:
+def _penalized_grad(
+    a2: np.ndarray, w: np.ndarray, mu: float, g: np.ndarray, e: np.ndarray, out: np.ndarray
+) -> None:
+    """Gradient of <A, G> - mu sum_{i != j} max(0, |G_ij| - G_ii)^2 per restart, into `out`.
+
+    `a2` is 2A, `w` the (R, n, d) stack, `g` and `e` (R, n, n) work buffers.  With
+    E = G - clip(G, -G_ii, G_ii) (zero diagonal) the gradient is
+    (2A - 2mu (E + E^T) + 4mu diag(rowsum |E|)) W.
+    """
+    np.matmul(w, w.transpose(0, 2, 1), out=g)
+    # G is symmetric, so E^T = G - clip(G, -G_jj, G_jj); bounds that vary
+    # along a row broadcast over contiguous memory, which is much faster
+    sq = g.diagonal(axis1=1, axis2=2)[:, None, :]
+    np.minimum(g, sq, out=e)
+    np.maximum(e, -sq, out=e)
+    np.subtract(g, e, out=e)
+    np.add(e, e.transpose(0, 2, 1), out=g)
+    g *= -2.0 * mu
+    g += a2
+    np.abs(e, out=e)
+    g.reshape(len(g), -1)[:, :: g.shape[1] + 1] += (4.0 * mu) * np.add.reduce(e, axis=1)
+    np.matmul(g, w, out=out)
+
+
+def _ascend_stack(a: np.ndarray, w0: np.ndarray, iters: int) -> list[np.ndarray | None]:
     """Normalized-gradient ascent with an escalating pair-constraint penalty.
 
-    Early phases run with a weak penalty so the objective shapes the solution;
-    each phase output is repaired to exact feasibility and the best repaired
-    iterate wins.
+    `w0` is an (R, n, d) stack of unit-norm starting points; all R restarts
+    advance together.  Early phases run with a weak penalty so the objective
+    shapes the solution; each phase output of each restart is repaired to
+    exact feasibility and that restart's best repaired iterate wins.  A
+    restart whose gradient vanishes takes no further step in that phase.
     """
-    n = a.shape[0]
+    n_r, n, _ = w0.shape
     scale = max(1.0, float(np.max(np.abs(a))))
-    w = rng.standard_normal((n, d))
-    w /= np.linalg.norm(w)
-    best_w = None
-    best_obj = -math.inf
+    a2 = 2.0 * a
+    w = w0.copy()
+    g = np.empty((n_r, n, n))
+    e = np.empty_like(g)
+    grad = np.empty_like(w)
+    best_w: list[np.ndarray | None] = [None] * n_r
+    best_obj = [-math.inf] * n_r
     mu = 0.25 * scale
     for _phase in range(6):
+        moving = np.ones((n_r, 1, 1), dtype=bool)
         for t in range(iters):
-            g = w @ w.T
-            sq = np.diag(g).copy()
-            m = _pair_penalty_grad(g, sq)
-            grad = 2.0 * (a @ w) - mu * ((m + m.T) @ w)
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm == 0.0:
-                break
-            w = w + (0.05 / (1.0 + 4.0 * t / iters)) * grad / gnorm
-            w /= np.linalg.norm(w)
-        repaired = _repair(a, w)
-        if repaired is not None and repaired[0] > best_obj:
-            best_obj, best_w = repaired[0], repaired[1]
+            _penalized_grad(a2, w, mu, g, e, grad)
+            gnorm = np.sqrt(np.add.reduce(grad * grad, axis=(1, 2), keepdims=True))
+            moving &= gnorm > 0.0
+            grad *= np.divide(0.05 / (1.0 + 4.0 * t / iters), gnorm, out=np.zeros_like(gnorm), where=moving)
+            w += grad
+            w /= np.sqrt(np.add.reduce(w * w, axis=(1, 2), keepdims=True))
+        for r in range(n_r):
+            repaired = _repair(a, w[r])
+            if repaired is not None and repaired[0] > best_obj[r]:
+                best_obj[r], best_w[r] = repaired
         mu *= 4.0
     return best_w
 
@@ -158,6 +178,8 @@ def sdp_solve(
     d = rank if rank is not None else int(math.ceil(math.sqrt(2 * inst.n))) + 1
     if d < 2:
         raise ValidationError(f"rank must be at least 2, got {d}")
+    if restarts < 0 or iters < 1:
+        raise ValidationError(f"need restarts >= 0 and iters >= 1, got {restarts} and {iters}")
     candidates: list[GramSolution] = []
     base, _ = trivial_solution(inst)
     if base.support == 0:
@@ -171,10 +193,11 @@ def sdp_solve(
         else:
             sol = embed_assignment(inst, ws, dim=d)
         candidates.append(sol)
-    if inst.entries:
+    if inst.entries and restarts:
         a = inst.to_dense()
-        for r in range(restarts):
-            w = _ascend(a, d, rng_for(seed, 0x5D, r), iters, tol)
+        w0 = np.stack([rng_for(seed, 0x5D, r).standard_normal((inst.n, d)) for r in range(restarts)])
+        w0 /= np.linalg.norm(w0, axis=(1, 2), keepdims=True)
+        for w in _ascend_stack(a, w0, iters):
             if w is None:
                 continue
             sol = GramSolution.build(inst, w)

@@ -94,6 +94,10 @@ class TestRelaxCertify:
         assert main(["relax", star_file, "--method", "sdp", "--gram-out", str(gram)]) == 0
         assert main(["certify", star_file, "--gram", str(gram)]) == 0
 
+    def test_negative_restarts_exits_2(self, star_file, capsys):
+        assert main(["relax", star_file, "--method", "sdp", "--restarts", "-1"]) == 2
+        assert "restarts" in capsys.readouterr().err
+
     def test_certify_infeasible_exits_2(self, star_file, tmp_path):
         gram = tmp_path / "bad.json"
         gram.write_text(json.dumps({"vectors": [[1.0]] * 6}))
@@ -166,6 +170,14 @@ class TestBench:
         monkeypatch.setenv("QPRL_THREADS", "2")
         main(["bench", str(cfg)])
         assert csv.read_bytes() == sequential
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+    def test_bad_thread_count_is_usage_error(self, tmp_path, monkeypatch, capsys, value):
+        cfg, csv, _ = self.make_config(tmp_path)
+        monkeypatch.setenv("QPRL_THREADS", value)
+        assert main(["bench", str(cfg)]) == 2
+        assert "QPRL_THREADS" in capsys.readouterr().err
+        assert not csv.exists()
 
     def test_oracle_rows_have_ratio_at_most_one(self, tmp_path):
         cfg, csv, _ = self.make_config(tmp_path)

@@ -3,17 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from qpratio.core import Assignment, QpRatioInstance, eval_qp_ratio
+from qpratio.core import Assignment, QpRatioInstance, ValidationError, eval_qp_ratio
 from qpratio.exact import brute_force_qp_ratio
 from qpratio.generators import gen_bipartite_gap, gen_gap_sdp_certificate, gen_star, random_instance
 from qpratio.sdp import (
     GramSolution,
+    _ascend_stack,
+    _penalized_grad,
+    _repair,
     embed_assignment,
     sdp_feasibility,
     sdp_solve,
     sdp_upper_check,
 )
 from qpratio.spectral import eig_relaxation_value
+from qpratio.util import rng_for
 
 
 class TestEmbedding:
@@ -81,6 +85,11 @@ class TestSdpSolve:
         sol = sdp_solve(gap, seed=1, warm_starts=[cert])
         assert sol.objective >= math.sqrt(16) * 0.9
 
+    @pytest.mark.parametrize("kwargs", [{"restarts": -1}, {"iters": 0}])
+    def test_bad_ascent_arguments_rejected(self, kwargs):
+        with pytest.raises(ValidationError):
+            sdp_solve(random_instance(8, seed=1), seed=0, **kwargs)
+
     def test_degenerate_instance_returns_embedding(self):
         inst = QpRatioInstance(3, ())
         sol = sdp_solve(inst, seed=0)
@@ -127,3 +136,59 @@ class TestGramSolution:
         w = np.array([[1.0, 0.0], [0.5, 0.0]])  # <w0,w1>=0.5 > w1^2=0.25
         sol = GramSolution.build(inst, w)
         assert sol.residual_pair == pytest.approx(0.25)
+
+
+def reference_grad(a, w, mu):
+    """Entrywise penalty gradient 2AW - mu (m + m^T) W, one restart at a time."""
+    g = w @ w.T
+    h = np.abs(g) - np.diag(g)[:, None]
+    np.fill_diagonal(h, 0.0)
+    h = np.maximum(h, 0.0)
+    m = 2.0 * h * np.sign(g)
+    np.fill_diagonal(m, -2.0 * np.sum(h, axis=1))
+    return 2.0 * (a @ w) - mu * ((m + m.T) @ w)
+
+
+class TestStackedAscent:
+    def test_clip_gradient_matches_reference(self):
+        n = 12
+        a = random_instance(n, seed=2).to_dense()
+        rng = np.random.default_rng(0)
+        # dyadic rows give exact Gram entries with ties |G_ij| = G_ii next to violations
+        rows = np.array([[1, 0, 0], [1, 1, 0], [0.5, 0.5, 0], [-1, -1, 0], [1, 1, 1], [0, 0, 0]])
+        ties = rows[rng.permutation(n) % len(rows)]
+        g = ties @ ties.T
+        off = ~np.eye(n, dtype=bool)
+        assert np.any((np.abs(g) == np.diag(g)[:, None]) & off & (g != 0))
+        assert np.any((np.abs(g) > np.diag(g)[:, None]) & off)
+        for w in (rng.standard_normal((n, 4)), ties):
+            for mu in (0.25, 64.0):
+                got = np.empty((1,) + w.shape)
+                _penalized_grad(2.0 * a, w[None].copy(), mu, np.empty((1, n, n)), np.empty((1, n, n)), got)
+                ref = reference_grad(a, w, mu)
+                assert np.max(np.abs(got[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_restart_alone_matches_stack(self):
+        inst = random_instance(30, seed=4)
+        a = inst.to_dense()
+        w0 = np.stack([rng_for(0, 0x5D, r).standard_normal((inst.n, 9)) for r in range(3)])
+        w0 /= np.linalg.norm(w0, axis=(1, 2), keepdims=True)
+        stacked = _ascend_stack(a, w0, 40)
+        for r in range(3):
+            alone = _ascend_stack(a, w0[r : r + 1], 40)[0]
+            assert np.array_equal(alone, stacked[r])
+
+    def test_zero_gradient_restart_stays_frozen(self):
+        # vertex 2 touches no entry: vectors only on it have AW = 0 and no pair excess
+        a = QpRatioInstance(3, ((0, 1, 1.0),)).to_dense()
+        frozen = np.zeros((3, 3))
+        frozen[2] = [0.1, 0.7, 0.3]
+        frozen /= np.linalg.norm(frozen)
+        live = np.random.default_rng(5).standard_normal((3, 3))
+        live /= np.linalg.norm(live)
+        out = _ascend_stack(a, np.stack([live, frozen, live]), 30)
+        np.testing.assert_allclose(out[1], _repair(a, frozen)[1], rtol=0, atol=1e-15)
+        alone = _ascend_stack(a, live[None], 30)[0]
+        assert np.array_equal(out[0], alone)
+        assert np.array_equal(out[2], alone)
+        assert not np.allclose(alone, _repair(a, live)[1])
