@@ -9,12 +9,12 @@ out of the bench rows and printed only by `solve`).
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from . import core, exact, generators, hardness, rounding, sdp, spectral
 from .core import ParseError, ValidationError
 from .exact import BudgetExceeded
 
-CSV_HEADER = "instance_id,family,n,seed,algo,value,bound,bound_kind,ratio,support,runtime_ms,status"
+CSV_HEADER = "instance_id,family,n,seed,algo,value,bound,bound_kind,ratio,support,runtime_ms,status".split(",")
 
 
 def _fmt(x) -> str:
@@ -126,7 +126,7 @@ def _run_algo(inst: core.QpRatioInstance, algo: str, seed: int, eps: float):
         dense = inst.to_dense()
         res = spectral.eigen_max(dense, seed=seed)
         # canonical PSD completion: lift the diagonal by |min eigenvalue|
-        min_eig = -spectral.eigen_max(-dense, seed=seed).lambda_max
+        min_eig = float(np.linalg.eigvalsh(dense)[0])
         shift = max(0.0, -min_eig) * (1.0 + 1e-9) + 1e-12
         diag = np.full(inst.n, shift)
         return spectral.psd_polylog_round(inst, res.vector, diag=diag, seed=seed)
@@ -147,21 +147,12 @@ def _bound_for(inst: core.QpRatioInstance, cap: int, normalized: bool) -> tuple[
 def _result_row(instance_id, family, n, seed, algo, value, bound, bound_kind, support, runtime_ms, status):
     numeric = isinstance(value, (int, float)) and isinstance(bound, (int, float))
     ratio = value / bound if (numeric and bound > 1e-15) else ""
-    cells = [
-        instance_id,
-        family,
-        n,
-        seed,
-        algo,
-        value,
-        bound,
-        bound_kind,
-        ratio,
-        support,
-        runtime_ms,
-        status,
-    ]
-    return ",".join(_fmt(c) for c in cells)
+    cells = [instance_id, family, n, seed, algo, value, bound, bound_kind, ratio, support, runtime_ms, status]
+    return dict(zip(CSV_HEADER, (_fmt(c) for c in cells)))
+
+
+def _csv_writer(fh) -> csv.DictWriter:
+    return csv.DictWriter(fh, CSV_HEADER, lineterminator="\n")
 
 
 def cmd_solve(args) -> int:
@@ -186,14 +177,16 @@ def cmd_solve(args) -> int:
         runtime_ms,
         "ok",
     )
-    print(CSV_HEADER)
-    print(row)
+    out = _csv_writer(sys.stdout)
+    out.writeheader()
+    out.writerow(row)
     if args.csv:
         new = not os.path.exists(args.csv)
-        with open(args.csv, "a") as fh:
+        with open(args.csv, "a", newline="") as fh:
+            out = _csv_writer(fh)
             if new:
-                fh.write(CSV_HEADER + "\n")
-            fh.write(row + "\n")
+                out.writeheader()
+            out.writerow(row)
     return 0
 
 
@@ -318,7 +311,7 @@ def _bench_one(item, algos, cap, seed):
             rows.append(
                 _result_row(iid, family, inst.n, item.get("seed", seed), algo, val.value, nb, nk, a.support, "", "ok")
             )
-        except (ValidationError, BudgetExceeded) as exc:
+        except (ValidationError, BudgetExceeded, spectral.ConvergenceError) as exc:
             rows.append(
                 _result_row(iid, family, inst.n, item.get("seed", seed), algo, "", "", "", "", "", f"error:{type(exc).__name__}")
             )
@@ -376,30 +369,18 @@ def cmd_bench(args) -> int:
     algos = cfg.get("algos", ["general"])
     cap = int(cfg.get("cap", 12))
     seed = int(cfg.get("seed", 0))
-    items = cfg["instances"]
-    raw = os.environ.get("QPRL_THREADS", "1")
-    if not raw.isdecimal() or int(raw) < 1:
-        raise ValidationError(f"QPRL_THREADS must be a positive integer, got {raw!r}")
-    threads = int(raw)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda it: _bench_one(it, algos, cap, seed), items))
-    else:
-        chunks = [_bench_one(it, algos, cap, seed) for it in items]
-    rows = [r for chunk in chunks for r in chunk]
-    rows.sort(key=lambda line: (line.split(",")[0], line.split(",")[4]))
+    rows = [r for it in cfg["instances"] for r in _bench_one(it, algos, cap, seed)]
+    rows.sort(key=lambda r: (r["instance_id"], r["algo"]))
     out_csv = cfg.get("out_csv", "bench.csv")
-    with open(out_csv, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in rows:
-            fh.write(r + "\n")
+    with open(out_csv, "w", newline="") as fh:
+        out = _csv_writer(fh)
+        out.writeheader()
+        out.writerows(rows)
     print(f"wrote {out_csv} ({len(rows)} rows)")
     out_svg = cfg.get("out_svg")
     if out_svg:
-        header = CSV_HEADER.split(",")
-        dicts = [dict(zip(header, r.split(","))) for r in rows]
         with open(out_svg, "w") as fh:
-            fh.write(_render_svg(dicts))
+            fh.write(_render_svg(rows))
         print(f"wrote {out_svg}")
     return 0
 

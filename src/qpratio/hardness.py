@@ -124,14 +124,11 @@ def inverse_fourier(coeffs: np.ndarray) -> np.ndarray:
 
 def check_smallball(f: BoolFn) -> bool:
     """Spread check: ||f||_2^2 > (10^4+1) ||f||_1^2 forces ||f^{!=1}||_2^2 >= ||f||_1^2."""
-    delta = f.l1()
-    if f.l2sq() <= (10_000 + 1) * delta * delta:
-        return True
-    return f.nonlinear_l2sq() >= delta * delta
+    return bool(check_smallball_batch(f.table[None])[0])
 
 
 def check_smallball_batch(tables: np.ndarray) -> np.ndarray:
-    """Vectorized check_smallball over rows of a (count, 2^R) table matrix."""
+    """check_smallball over the rows of a (count, 2^R) table matrix."""
     t = np.clip(np.asarray(tables, dtype=np.float64), -1.0, 1.0)
     size = t.shape[-1]
     r = size.bit_length() - 1

@@ -1,5 +1,7 @@
 """Symmetric eigensolver and the eigenvalue-relaxation pipelines.
 
+Eigenvalues come from dense LAPACK solves (numpy.linalg.eigh and eigvalsh).
+
 The relaxation value for the plain ratio is the top eigenvalue of the weight
 matrix; for the degree-normalized ratio it is the top eigenvalue of the
 symmetrically normalized matrix D^{-1/2} A D^{-1/2}, whose Rayleigh quotient
@@ -41,13 +43,14 @@ class EigenResult:
     residual: float
 
 
-def eigen_max(matrix, tol: float = 1e-10, seed: int = 0, max_iter: int = 100_000) -> EigenResult:
-    """Largest (signed) eigenvalue of a symmetric matrix by shifted power iteration.
+def eigen_max(matrix, tol: float = 1e-10, seed: int = 0) -> EigenResult:
+    """Largest (signed) eigenvalue of a symmetric matrix by a dense eigh.
 
-    A Gershgorin shift makes the spectrum positive so the dominant eigenvalue
-    of the shifted matrix is the signed maximum of the original.  The returned
-    residual is ||A v - lambda v||_2; non-convergence raises with the best
-    residual seen.
+    The vector is the seeded start projected onto the eigenvectors whose
+    eigenvalues lie within tol of the largest, normalized: the direction a
+    power iteration from that start converges to, so a repeated top
+    eigenvalue gives the same seed-dependent vector.  The returned residual is
+    ||A v - lambda v||_2; a residual above tol raises with that residual.
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -57,32 +60,16 @@ def eigen_max(matrix, tol: float = 1e-10, seed: int = 0, max_iter: int = 100_000
     scale = float(np.max(np.abs(a))) if n else 0.0
     if asym > 1e-9 * (1.0 + scale):
         raise ValidationError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    if n == 1:
-        return EigenResult(float(a[0, 0]), np.array([1.0]), 0, 0.0)
 
-    shift = 1.0 + float(np.max(np.sum(np.abs(a), axis=1)))
-    rng = rng_for(seed, 0x51)
-    v = rng.standard_normal(n)
+    w, vecs = np.linalg.eigh(a)
+    lam = float(w[-1])
+    top = vecs[:, w >= lam - tol]
+    v = top @ (top.T @ rng_for(seed, 0x51).standard_normal(n))
     v /= np.linalg.norm(v)
-    best_res = math.inf
-    lam = 0.0
-    for it in range(1, max_iter + 1):
-        av = a @ v
-        lam = float(v @ av)
-        res = float(np.linalg.norm(av - lam * v))
-        best_res = min(best_res, res)
-        if res <= tol:
-            return EigenResult(lam, v, it, res)
-        u = av + shift * v
-        norm = np.linalg.norm(u)
-        if norm == 0.0:  # happens only for the zero matrix with shift 0, kept defensive
-            return EigenResult(0.0, v, it, 0.0)
-        v = u / norm
-    raise ConvergenceError(
-        f"power iteration did not reach tol={tol} in {max_iter} iterations "
-        f"(best residual {best_res:.3e})",
-        best_res,
-    )
+    res = float(np.linalg.norm(a @ v - lam * v))
+    if res > tol:
+        raise ConvergenceError(f"eigh residual {res:.3e} is above tol={tol}", res)
+    return EigenResult(lam, v, 1, res)
 
 
 def eig_relaxation_value(inst: QpRatioInstance, tol: float = 1e-10, seed: int = 0) -> float:
@@ -156,7 +143,8 @@ def psd_polylog_round(
     to the level ceiling with the sign that does not decrease the completed
     quadratic form (coordinatewise convex since a PSD form has a nonnegative
     diagonal), then the uniform-magnitude vector is read off as signs.
-    Returns the best level candidate or the single-edge baseline.
+    Returns the best level candidate or the single-edge baseline.  Nothing
+    here is random; seed is accepted for callers that pass one.
     """
     n = inst.n
     xv = np.asarray(x, dtype=np.float64).ravel()
@@ -167,7 +155,7 @@ def psd_polylog_round(
         raise ValidationError(f"diagonal has length {dvec.size}, instance has n={n}")
     a_full = inst.to_dense() + np.diag(dvec)
     scale = 1.0 + float(np.max(np.abs(a_full)))
-    min_eig = -eigen_max(-a_full, tol=min(tol, 1e-9), seed=seed).lambda_max
+    min_eig = float(np.linalg.eigvalsh(a_full)[0])
     if min_eig < -tol * scale:
         raise ValidationError(f"completed form is not PSD (min eigenvalue {min_eig:.3e})")
 

@@ -1,7 +1,9 @@
+import csv
 import json
 
 import pytest
 
+from qpratio import spectral
 from qpratio.cli import main
 from qpratio.core import QpIntermediateInstance, load_instance, save_instance
 from qpratio.generators import gen_star
@@ -163,22 +165,6 @@ class TestBench:
         main(["bench", str(cfg)])
         assert csv.read_bytes() == first
 
-    def test_thread_pool_output_unchanged(self, tmp_path, monkeypatch):
-        cfg, csv, _ = self.make_config(tmp_path)
-        main(["bench", str(cfg)])
-        sequential = csv.read_bytes()
-        monkeypatch.setenv("QPRL_THREADS", "2")
-        main(["bench", str(cfg)])
-        assert csv.read_bytes() == sequential
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
-    def test_bad_thread_count_is_usage_error(self, tmp_path, monkeypatch, capsys, value):
-        cfg, csv, _ = self.make_config(tmp_path)
-        monkeypatch.setenv("QPRL_THREADS", value)
-        assert main(["bench", str(cfg)]) == 2
-        assert "QPRL_THREADS" in capsys.readouterr().err
-        assert not csv.exists()
-
     def test_oracle_rows_have_ratio_at_most_one(self, tmp_path):
         cfg, csv, _ = self.make_config(tmp_path)
         main(["bench", str(cfg)])
@@ -188,3 +174,27 @@ class TestBench:
             rec = dict(zip(cols, row.split(",")))
             if rec["bound_kind"] == "oracle" and rec["ratio"]:
                 assert float(rec["ratio"]) <= 1 + 1e-9
+
+    def test_comma_in_id_is_quoted(self, tmp_path):
+        cfg, csv_path, svg = self.make_config(tmp_path)
+        obj = json.loads(cfg.read_text())
+        obj["algos"] = ["general"]
+        obj["instances"][0]["id"] = "star,five"
+        cfg.write_text(json.dumps(obj))
+        assert main(["bench", str(cfg)]) == 0
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["instance_id"] for r in rows] == ["random-n6-seed1", "star,five"]
+        assert all(len(r) == 12 and r["status"] == "ok" for r in rows)
+        assert svg.read_text().count("<circle") == 2
+
+    def test_convergence_error_is_a_row_status(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise spectral.ConvergenceError("no convergence", 1.0)
+
+        monkeypatch.setattr(spectral, "eigen_max", fail)
+        cfg, csv_path, _ = self.make_config(tmp_path)
+        assert main(["bench", str(cfg)]) == 0
+        with open(csv_path, newline="") as fh:
+            statuses = sorted((r["algo"], r["status"]) for r in csv.DictReader(fh))
+        assert statuses == [("general", "ok")] * 2 + [("trevisan", "error:ConvergenceError")] * 2

@@ -57,10 +57,28 @@ class TestEigenMax:
             eigen_max(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_nonconvergence_carries_residual(self):
-        # top pair split by 1e-7: far too slow for 500 iterations
+        # no floating-point eigenvector has a zero residual on a dense matrix
+        b = rng_for(12).uniform(-1, 1, (30, 30))
         with pytest.raises(ConvergenceError) as exc:
-            eigen_max(np.diag([1.0, 1.0 - 1e-7]), tol=1e-12, seed=3, max_iter=500)
+            eigen_max((b + b.T) / 2.0, tol=0.0)
         assert exc.value.best_residual > 0
+
+    def test_matches_eigvalsh(self):
+        rng = rng_for(13)
+        mats = [(b + b.T) / 2.0 for b in (rng.uniform(-1, 1, (n, n)) for n in (2, 7, 40, 120))]
+        mats.append(gen_level_graph(LevelGraphParams(eps=0.5)).to_dense())
+        for m in mats:
+            assert abs(eigen_max(m).lambda_max - np.linalg.eigvalsh(m)[-1]) <= 1e-12
+
+    def test_repeated_top_eigenvalue_keeps_seeded_direction(self):
+        # every vector of the top eigenspace is an eigenvector; the seed picks
+        # the one a power iteration from the seeded start converges to
+        for seed in (0, 5):
+            r = rng_for(seed, 0x51).standard_normal(3)
+            want = np.array([r[0], r[1], 0.0]) / math.hypot(r[0], r[1])
+            res = eigen_max(np.diag([2.0, 2.0, 1.0]), seed=seed)
+            assert res.lambda_max == 2.0
+            assert np.allclose(res.vector, want, rtol=0, atol=1e-15)
 
 
 class TestRelaxationValues:
