@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from qpratio import spectral
@@ -74,6 +75,13 @@ class TestExact:
         assert main(["exact", str(path)]) == 2
         err = capsys.readouterr().err
         assert "n=14" in err and "cap=12" in err
+
+    def test_overflowing_weights_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"kind": "qp_ratio", "n": 3, "entries": [[0, 1, 1e308], [1, 2, -1e308]]}')
+        with np.errstate(over="ignore"):
+            assert main(["exact", str(path)]) == 2
+        assert "overflows" in capsys.readouterr().err
 
     def test_star_optimum(self, star_file, capsys):
         assert main(["exact", star_file]) == 0

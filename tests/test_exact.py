@@ -1,13 +1,22 @@
+import itertools
+import tracemalloc
+
+import numpy as np
 import pytest
 
+from qpratio import exact
 from qpratio.core import (
     Assignment,
     QpIntermediateInstance,
     QpRatioInstance,
+    ValidationError,
+    degrees,
     eval_qp_ratio,
 )
 from qpratio.exact import (
     BudgetExceeded,
+    _assignment_grid,
+    _split_scores,
     brute_force_normalized,
     brute_force_qp_ratio,
     brute_force_ratio_ug,
@@ -15,8 +24,49 @@ from qpratio.exact import (
     grid_search_intermediate,
 )
 from qpratio.generators import gen_bipartite_gap, gen_star, random_instance
-from qpratio.hardness import UgInstance
+from qpratio.hardness import UgInstance, gen_kand, kand_to_qpratio
 from qpratio.util import rng_for
+
+
+def full_grid_oracle(inst, normalized):
+    """The 3^n enumeration the oracles used before the head x tail split.
+
+    Every row of the full grid is scored per entry; returns
+    (rows, numerators, denominators, index of the first maximum).
+    """
+    n = inst.n
+    vals = np.array([-1, 0, 1], dtype=np.int8)
+    rows = np.stack(np.meshgrid(*([vals] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    num = np.zeros(rows.shape[0])
+    for i, j, w in inst.entries:
+        num += (2.0 * w) * (rows[:, i].astype(np.float64) * rows[:, j])
+    if normalized:
+        den = np.abs(rows).astype(np.float64) @ degrees(inst)
+    else:
+        den = np.count_nonzero(rows, axis=1).astype(np.float64)
+    vals = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return rows, num, den, int(np.argmax(vals))
+
+
+def oracle_instances():
+    for n in range(2, 13):
+        yield f"random-n{n}", random_instance(n, seed=100 + n, density=0.6)
+    for leaves in range(1, 12):
+        yield f"star-{leaves}", gen_star(leaves)
+    for n in (4, 9):
+        yield f"gap-{n}", gen_bipartite_gap(n, seed=n)
+    yield "kand-a", kand_to_qpratio(gen_kand(4, 4, 2, 1), 0.5)[0]
+    yield "kand-b", kand_to_qpratio(gen_kand(5, 2, 3, 2), 0.5)[0]
+    yield "k6", QpRatioInstance(6, tuple((i, j, 1.0) for i in range(6) for j in range(i + 1, 6)))
+    yield "empty", QpRatioInstance(5, ())
+    # (-1,0,-1) and (-1,-1,-1) tie at 0.2 in exact arithmetic; the per-entry
+    # sums give 0.2 and 0.20000000000000004, so the split scores must not
+    # decide between them
+    yield "float-tie", QpRatioInstance(3, ((0, 2, 0.2), (1, 2, 0.1)))
+
+
+def ulps(a, b):
+    return abs(a - b) / np.spacing(max(abs(a), abs(b)))
 
 
 class TestBruteForce:
@@ -58,6 +108,83 @@ class TestBruteForce:
         v1 = brute_force_qp_ratio(inst)[1].value
         v2 = brute_force_qp_ratio(flipped)[1].value
         assert v1 == pytest.approx(v2)
+
+
+class TestSplitEnumeration:
+    def test_empty_grid_is_one_empty_row(self):
+        assert _assignment_grid(0).shape == (1, 0)
+        for n in range(1, 5):
+            expected = np.array(list(itertools.product((-1, 0, 1), repeat=n)))
+            assert np.array_equal(_assignment_grid(n), expected)
+
+    def test_split_matches_per_entry_scores(self):
+        # n <= 8 has an empty head (h = 0), n = 9 a one-variable head
+        for n in range(1, 10):
+            inst = random_instance(n, seed=n, density=0.7)
+            t = min(n, 8)
+            head, tail = _assignment_grid(n - t), _assignment_grid(t)
+            rows = _assignment_grid(n)
+            ref_num = exact._numerators(inst, rows)
+            scale = 2.0 * sum(abs(w) for _, _, w in inst.entries)
+            for weights in (np.ones(n), degrees(inst)):
+                num, den = _split_scores(inst, weights, head, tail)
+                assert num.shape == den.shape == (3 ** (n - t), 3**t)
+                np.testing.assert_allclose(num.ravel(), ref_num, rtol=1e-12, atol=1e-12 * scale)
+                np.testing.assert_allclose(den.ravel(), np.abs(rows) @ weights, rtol=1e-12)
+
+    def test_plain_oracle_bit_identical_to_full_grid(self):
+        for name, inst in oracle_instances():
+            rows, num, den, k = full_grid_oracle(inst, normalized=False)
+            a, v = brute_force_qp_ratio(inst)
+            assert a.values == tuple(int(x) for x in rows[k]), name
+            assert (v.numerator, v.denominator) == (num[k], den[k]), name
+            assert v.value == (num[k] / den[k] if den[k] else 0.0), name
+
+    def test_normalized_oracle_within_4_ulp_of_full_grid(self):
+        for name, inst in oracle_instances():
+            rows, num, den, k = full_grid_oracle(inst, normalized=True)
+            best = num[k] / den[k] if den[k] else 0.0
+            a, v = brute_force_normalized(inst)
+            assert ulps(v.value, best) <= 4, name
+            # the returned assignment attains the optimum under the old scoring
+            r = int(np.flatnonzero((rows == np.array(a.values)).all(axis=1))[0])
+            attained = num[r] / den[r] if den[r] else 0.0
+            assert ulps(attained, best) <= 4, name
+
+    def test_tiny_weights_keep_argmax_and_shortlist(self, monkeypatch):
+        base = random_instance(10, seed=3, density=0.6)
+        inst = QpRatioInstance(10, tuple((i, j, w * 1e-12) for i, j, w in base.entries))
+        rescored = []
+        numerators = exact._numerators
+
+        def spy(inst, rows):
+            rescored.append(rows.shape[0])
+            return numerators(inst, rows)
+
+        monkeypatch.setattr(exact, "_numerators", spy)
+        rows, num, den, k = full_grid_oracle(inst, normalized=False)
+        a, v = brute_force_qp_ratio(inst)
+        assert a.values == tuple(int(x) for x in rows[k])
+        assert (v.numerator, v.denominator) == (num[k], den[k])
+        # the error bound scales with the weights, so only near-ties are rescored
+        assert rescored == [2]
+
+    @pytest.mark.parametrize("oracle", [brute_force_qp_ratio, brute_force_normalized])
+    def test_overflowing_weights_are_refused(self, oracle):
+        inst = QpRatioInstance(3, ((0, 1, 1e308), (1, 2, -1e308)))
+        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="overflows"):
+            oracle(inst)
+
+    @pytest.mark.parametrize("oracle", [brute_force_qp_ratio, brute_force_normalized])
+    def test_peak_memory_at_n12(self, oracle):
+        inst = random_instance(12, seed=1, density=0.4)
+        tracemalloc.start()
+        try:
+            oracle(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
 
 
 class TestBruteForceNormalized:
@@ -135,6 +262,9 @@ class TestWeightedBipartite:
         # single cross pair weight 1, left weight 2:
         # best is x=y=1 with 2*1/(2+1) = 2/3
         assert brute_force_weighted_bipartite([[1.0]], 2) == pytest.approx(2 / 3)
+
+    def test_empty_left_side(self):
+        assert brute_force_weighted_bipartite(np.zeros((0, 3)), 1) == 0.0
 
     def test_weight_one_matches_plain_brute_force(self):
         rng = rng_for(13)
