@@ -213,7 +213,7 @@ def cmd_relax(args) -> int:
         print(f"normalized eig bound {spectral.normalized_eig_value(inst):.12g}")
         return 0
     sol = sdp.sdp_solve(inst, rank=args.rank, seed=args.seed, restarts=args.restarts)
-    print(f"sdp objective {sol.objective:.12g}")
+    print(f"sdp primal value {sol.objective:.12g}")
     print(f"residual_norm1 {sol.residual_norm1:.3e} residual_pair {sol.residual_pair:.3e}")
     if args.gram_out:
         with open(args.gram_out, "w") as fh:
@@ -428,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--grid-eps", dest="grid_eps", type=float, default=0.1)
     e.set_defaults(func=cmd_exact)
 
-    r = sub.add_parser("relax", help="relaxation bounds")
+    r = sub.add_parser("relax", help="eigenvalue bounds or a vector-relaxation primal value")
     r.add_argument("instance")
     r.add_argument("--method", required=True, choices=["eig", "normalized-eig", "sdp"])
     r.add_argument("--rank", type=int)

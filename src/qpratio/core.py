@@ -193,10 +193,6 @@ class QpRatioInstance:
             ww = np.zeros(0, dtype=np.float64)
         return ii, jj, ww
 
-    def max_abs_weight(self) -> float:
-        _, _, ww = self._arrays
-        return float(np.max(np.abs(ww))) if ww.size else 0.0
-
     def to_dense(self, max_n: int = 5000) -> np.ndarray:
         if self.n > max_n:
             raise ValidationError(f"refusing to densify n={self.n} > {max_n}")

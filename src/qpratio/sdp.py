@@ -4,7 +4,10 @@ The relaxation maximizes sum_{i,j} a_ij <w_i, w_j> subject to sum_i w_i^2 = 1
 and |<w_i, w_j>| <= w_i^2 for all pairs, which pushes nonzero vectors toward
 equal lengths.  The solver is a low-rank factorization ascent with soft pair
 penalties that advances all restarts as one stacked iterate; for s >= 0 the
-penalty gradient uses sign(g) max(0, |g| - s) = g - clip(g, -s, s).  Every
+penalty gradient uses sign(g) max(0, |g| - s) = g - clip(g, -s, s).  The
+penalty climbs a ladder of 8 short phases (75 steps each by default, weight
+0.25 * 4^k * max(1, max|a_ij|)), so it ends high enough that repairing
+the last phases to exact feasibility costs little objective.  Every
 integer assignment embeds exactly feasibly, so the returned objective is
 never below the best warm start.  No optimality certificate is
 produced or needed downstream.
@@ -127,10 +130,12 @@ def _ascend_stack(a: np.ndarray, w0: np.ndarray, iters: int) -> list[np.ndarray 
     """Normalized-gradient ascent with an escalating pair-constraint penalty.
 
     `w0` is an (R, n, d) stack of unit-norm starting points; all R restarts
-    advance together.  Early phases run with a weak penalty so the objective
-    shapes the solution; each phase output of each restart is repaired to
-    exact feasibility and that restart's best repaired iterate wins.  A
-    restart whose gradient vanishes takes no further step in that phase.
+    advance together through 8 phases of `iters` steps, the penalty weight
+    rising from 0.25 to 4096 times max(1, max|a_ij|), by 4x per phase.
+    Early phases run with a weak penalty so the objective shapes the
+    solution; each phase output of each restart is repaired to exact
+    feasibility and that restart's best repaired iterate wins.  A restart
+    whose gradient vanishes takes no further step in that phase.
     """
     n_r, n, _ = w0.shape
     scale = max(1.0, float(np.max(np.abs(a))))
@@ -142,7 +147,7 @@ def _ascend_stack(a: np.ndarray, w0: np.ndarray, iters: int) -> list[np.ndarray 
     best_w: list[np.ndarray | None] = [None] * n_r
     best_obj = [-math.inf] * n_r
     mu = 0.25 * scale
-    for _phase in range(6):
+    for _phase in range(8):
         moving = np.ones((n_r, 1, 1), dtype=bool)
         for t in range(iters):
             _penalized_grad(a2, w, mu, g, e, grad)
@@ -166,7 +171,7 @@ def sdp_solve(
     seed: int = 0,
     warm_starts=(),
     restarts: int = 3,
-    iters: int = 300,
+    iters: int = 75,
 ) -> GramSolution:
     """Best feasible-within-tol solution among penalized ascents and warm starts.
 

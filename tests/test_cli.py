@@ -99,9 +99,10 @@ class TestRelaxCertify:
         assert main(["relax", star_file, "--method", "eig"]) == 0
         assert "2.2360679" in capsys.readouterr().out
 
-    def test_sdp_gram_certify_round_trip(self, star_file, tmp_path):
+    def test_sdp_gram_certify_round_trip(self, star_file, tmp_path, capsys):
         gram = tmp_path / "gram.json"
         assert main(["relax", star_file, "--method", "sdp", "--gram-out", str(gram)]) == 0
+        assert capsys.readouterr().out.startswith("sdp primal value ")
         assert main(["certify", star_file, "--gram", str(gram)]) == 0
 
     def test_negative_restarts_exits_2(self, star_file, capsys):

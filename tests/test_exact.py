@@ -202,7 +202,61 @@ class TestBruteForceNormalized:
         assert v.value == 0.0
 
 
+def full_grid_intermediate(inst, eps):
+    """grid_search_intermediate as one (points x n) array, before blocking."""
+    n = inst.n
+    delta = 1.0 / (2 * n)
+    if inst.norm1() > 0:
+        delta = min(delta, eps / (2.0 * inst.norm1()))
+    steps = int(np.ceil(1.0 / delta))
+    axis = (np.arange(2 * steps + 1, dtype=np.float64) - steps) / steps
+    rows = np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    num = rows * rows @ np.array(inst.diag, dtype=np.float64)
+    for i, j, w in inst.entries:
+        num += (2.0 * w) * rows[:, i] * rows[:, j]
+    den = np.sum(np.abs(rows), axis=1)
+    k = int(np.argmax(np.divide(num, den, out=np.zeros_like(num), where=den > 0)))
+    return tuple(float(v) for v in rows[k]), num[k], den[k]
+
+
+def grid_cases():
+    cases = [
+        (QpIntermediateInstance(2, ((0, 1, 1.0),), (0.0, 0.0)), 0.5),
+        (QpIntermediateInstance(1, (), (-1.0,)), 0.3),
+        (QpIntermediateInstance(2, ((0, 1, 1.0),), (0.0, 0.0)), 0.05),
+        (QpIntermediateInstance(2, ((0, 1, 1.0),), (-0.5, -0.5)), 0.05),
+        (QpIntermediateInstance(2, ((0, 1, -0.8),), (-0.3, 0.0)), 0.05),
+        (QpIntermediateInstance(2, (), (0.0, 0.0)), 0.05),
+    ]
+    rng = rng_for(7)
+    for _ in range(3):
+        entries = tuple((i, j, float(rng.uniform(-0.2, 0.2))) for i in range(3) for j in range(i + 1, 3))
+        diag = tuple(-abs(float(rng.uniform(0, 0.2))) for _ in range(3))
+        cases.append((QpIntermediateInstance(3, entries, diag), 0.1))
+    return cases
+
+
 class TestGridSearch:
+    @pytest.mark.parametrize("block", [64, exact._GRID_BLOCK])
+    def test_blocks_match_one_array(self, monkeypatch, block):
+        monkeypatch.setattr(exact, "_GRID_BLOCK", block)
+        for inst, eps in grid_cases():
+            x, v = grid_search_intermediate(inst, eps=eps)
+            ref_x, ref_num, ref_den = full_grid_intermediate(inst, eps)
+            assert x.values == ref_x
+            assert (v.numerator, v.denominator) == (ref_num, ref_den)
+
+    def test_memory_bounded_at_default_budget(self):
+        inst = QpIntermediateInstance(4, ((0, 1, 1.0),), (0.0,) * 4)
+        tracemalloc.start()
+        try:
+            _, v = grid_search_intermediate(inst, eps=4 / 19)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.value == 1.0
+        assert peak < 32e6
+
     def test_offdiag_pair(self):
         inst = QpIntermediateInstance(2, ((0, 1, 1.0),), (0.0, 0.0))
         _, v = grid_search_intermediate(inst, eps=0.5)

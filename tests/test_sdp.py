@@ -192,3 +192,42 @@ class TestStackedAscent:
         assert np.array_equal(out[0], alone)
         assert np.array_equal(out[2], alone)
         assert not np.allclose(alone, _repair(a, live)[1])
+
+
+# objectives of the 6-phase x 300-step ascent this 8 x 75 schedule replaced,
+# sdp_solve(inst, seed=seed) with the default rank and restarts
+PREVIOUS_SCHEDULE = [
+    ("random-n60", 1, 4.37629815124907),
+    ("random-n60", 2, 3.8981066260243535),
+    ("random-n100", 1, 5.287110959412706),
+    ("random-n100", 2, 5.360923486798464),
+    ("gap-n64", 1, 7.303352184521001),
+    ("gap-n64", 2, 7.133295923844759),
+]
+
+
+def schedule_instance(family, seed):
+    if family == "gap-n64":
+        return gen_bipartite_gap(64, seed=seed)
+    return random_instance(int(family.removeprefix("random-n")), seed=seed, density=0.3)
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("family, seed, previous", PREVIOUS_SCHEDULE)
+    def test_not_below_previous_schedule(self, family, seed, previous):
+        sol = sdp_solve(schedule_instance(family, seed), seed=seed)
+        assert sol.objective >= previous
+        assert sol.residual_pair <= 1e-15
+
+    def test_unwarmed_below_opt_count(self):
+        # random n = 8, 10, 12 at density 0.5, seeds 0-11: the previous
+        # schedule ended below the brute-force optimum on 19 of these 36
+        below = 0
+        for n in (8, 10, 12):
+            for seed in range(12):
+                inst = random_instance(n, seed=seed, density=0.5)
+                opt = brute_force_qp_ratio(inst)[1].value
+                sol = sdp_solve(inst, seed=seed)
+                assert sol.residual_pair <= 1e-15
+                below += sol.objective < opt - 1e-9
+        assert below <= 19
