@@ -53,7 +53,7 @@ from .hardness import (
     ug_to_intermediate,
 )
 from .rounding import solve_bipartite, solve_general
-from .sdp import GramSolution, embed_assignment, sdp_feasibility, sdp_solve, sdp_upper_check
+from .sdp import GramSolution, embed_assignment, sdp_feasibility, sdp_solve
 from .spectral import (
     ConvergenceError,
     EigenResult,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -33,6 +34,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _load_json_object(path) -> dict:
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 def _load_ratio_instance(path) -> core.QpRatioInstance:
     inst = core.load_instance(path)
     if not isinstance(inst, core.QpRatioInstance):
@@ -44,15 +56,22 @@ def _load_ratio_instance(path) -> core.QpRatioInstance:
 # gen
 # ---------------------------------------------------------------------------
 
+def _param(spec: dict, key: str, typ):
+    """spec[key] converted by typ; a missing value names the `gen` flag that sets it."""
+    if spec.get(key) is None:
+        raise ValidationError(f"family {spec.get('family')!r} needs --{key.replace('_', '-')}")
+    return typ(spec[key])
+
+
 def _gen_instance(spec: dict) -> core.QpRatioInstance:
     family = spec.get("family")
     if family == "star":
-        return generators.gen_star(int(spec["leaves"]))
+        return generators.gen_star(_param(spec, "leaves", int))
     if family == "bipartite-gap":
-        return generators.gen_bipartite_gap(int(spec["n"]), int(spec.get("seed", 0)))
+        return generators.gen_bipartite_gap(_param(spec, "n", int), int(spec.get("seed", 0)))
     if family == "planted":
         params = generators.PlantedParams(
-            n=int(spec["n"]),
+            n=_param(spec, "n", int),
             r=spec.get("r"),
             p=spec.get("p"),
             planted_size=spec.get("planted_size"),
@@ -62,11 +81,11 @@ def _gen_instance(spec: dict) -> core.QpRatioInstance:
         return generators.gen_planted(params)[0]
     if family == "level-graph":
         return generators.gen_level_graph(
-            generators.LevelGraphParams(eps=float(spec["eps"]), n0=int(spec.get("n0", 1)))
+            generators.LevelGraphParams(eps=_param(spec, "eps", float), n0=int(spec.get("n0", 1)))
         )
     if family == "random":
         return generators.random_instance(
-            int(spec["n"]), int(spec.get("seed", 0)), float(spec.get("density", 1.0))
+            _param(spec, "n", int), int(spec.get("seed", 0)), float(spec.get("density", 1.0))
         )
     if family == "apx-gadget":
         if "cycle" in spec and spec["cycle"]:
@@ -74,11 +93,11 @@ def _gen_instance(spec: dict) -> core.QpRatioInstance:
             edges = [(i, (i + 1) % n) for i in range(n)] if n > 2 else []
             d = 2 if n > 2 else 0
         else:
-            with open(spec["graph"]) as fh:
-                gobj = json.load(fh)
-            n = int(gobj["n"])
-            edges = [tuple(e) for e in gobj["edges"]]
-            d = int(gobj["d"])
+            path = _param(spec, "graph", str)
+            gobj = _load_json_object(path)
+            n = core._require(gobj, "n", int, path)
+            edges = [tuple(e) for e in core._require(gobj, "edges", list, path)]
+            d = core._require(gobj, "d", int, path)
         return generators.gen_apx_gadget(n, edges, d)
     raise ValidationError(f"unknown instance family {family!r}")
 
@@ -87,7 +106,8 @@ def cmd_gen(args) -> int:
     spec = {k: v for k, v in vars(args).items() if k not in ("func", "out") and v is not None}
     spec["family"] = args.family
     if args.family == "kand":
-        inst = hardness.gen_kand(args.n, args.m, args.k, args.seed)
+        n, m, k = (_param(spec, key, int) for key in ("n", "m", "k"))
+        inst = hardness.gen_kand(n, m, k, args.seed)
         obj = {
             "kind": "kand",
             "n": inst.n,
@@ -225,9 +245,12 @@ def cmd_relax(args) -> int:
 
 def cmd_certify(args) -> int:
     inst = _load_ratio_instance(args.instance)
-    with open(args.gram) as fh:
-        obj = json.load(fh)
-    sol = sdp.GramSolution.build(inst, np.array(obj["vectors"], dtype=np.float64))
+    vectors = core._require(_load_json_object(args.gram), "vectors", list, args.gram)
+    try:
+        vectors = np.array(vectors, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{args.gram}: 'vectors' must be rows of numbers of one length") from exc
+    sol = sdp.GramSolution.build(inst, vectors)
     ok, report = sdp.sdp_feasibility(sol, tol=args.tol)
     print(f"objective {sol.objective:.12g}")
     print(f"residual_norm1 {report['residual_norm1']:.3e} residual_pair {report['residual_pair']:.3e}")
@@ -240,21 +263,29 @@ def cmd_certify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_kand(path) -> hardness.KAndInstance:
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = _load_json_object(path)
     if obj.get("kind") != "kand":
         raise ParseError(f"{path}: expected kind 'kand'")
-    clauses = tuple(tuple((int(v), int(s)) for v, s in clause) for clause in obj["clauses"])
-    return hardness.KAndInstance(int(obj["n"]), int(obj["k"]), clauses)
+    n, k = core._require(obj, "n", int, path), core._require(obj, "k", int, path)
+    clauses = core._require(obj, "clauses", list, path)
+    try:
+        clauses = tuple(tuple((int(v), int(s)) for v, s in clause) for clause in clauses)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: each clause must be a list of [variable, sign] pairs") from exc
+    return hardness.KAndInstance(n, k, clauses)
 
 
 def _load_ug(path) -> hardness.UgInstance:
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = _load_json_object(path)
     if obj.get("kind") != "ratio_ug":
         raise ParseError(f"{path}: expected kind 'ratio_ug'")
-    edges = tuple((int(u), int(v), tuple(int(x) for x in perm)) for u, v, perm in obj["edges"])
-    return hardness.UgInstance(int(obj["vertices"]), int(obj["alphabet"]), edges)
+    vertices, alphabet = core._require(obj, "vertices", int, path), core._require(obj, "alphabet", int, path)
+    edges = core._require(obj, "edges", list, path)
+    try:
+        edges = tuple((int(u), int(v), tuple(int(x) for x in perm)) for u, v, perm in edges)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: each edge must be [u, v, permutation]") from exc
+    return hardness.UgInstance(vertices, alphabet, edges)
 
 
 def cmd_reduce(args) -> int:
@@ -274,10 +305,7 @@ def cmd_reduce(args) -> int:
     meta = dict(out.meta or {})
     meta["source_file"] = os.path.basename(args.input)
     meta["source_sha256_16"] = source_hash
-    if isinstance(out, core.QpRatioInstance):
-        out = core.QpRatioInstance(out.n, out.entries, out.bipartition, meta)
-    else:
-        out = core.QpIntermediateInstance(out.n, out.entries, out.diag, meta)
+    out = dataclasses.replace(out, meta=meta)
     core.save_instance(out, args.out)
     print(f"wrote {args.out} ({out.n} variables, {len(out.entries)} entries)")
     return 0
@@ -364,12 +392,12 @@ def _render_svg(rows: list[dict]) -> str:
 
 
 def cmd_bench(args) -> int:
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    cfg = _load_json_object(args.config)
     algos = cfg.get("algos", ["general"])
     cap = int(cfg.get("cap", 12))
     seed = int(cfg.get("seed", 0))
-    rows = [r for it in cfg["instances"] for r in _bench_one(it, algos, cap, seed)]
+    instances = core._require(cfg, "instances", list, args.config)
+    rows = [r for it in instances for r in _bench_one(it, algos, cap, seed)]
     rows.sort(key=lambda r: (r["instance_id"], r["algo"]))
     out_csv = cfg.get("out_csv", "bench.csv")
     with open(out_csv, "w", newline="") as fh:

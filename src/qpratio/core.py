@@ -123,16 +123,16 @@ class FractionalAssignment:
         return np.array(self.values, dtype=np.float64)
 
 
-def _normalize_entries(n: int, entries, allow_diagonal: bool = False):
+def _normalize_entries(n: int, entries):
     """Sort and validate (i, j, w) triples; returns the canonical tuple."""
     seen = set()
     out = []
     for idx, ent in enumerate(entries):
         try:
             i, j, w = ent
-        except Exception as exc:
-            raise ParseError(f"entry {idx}: expected (i, j, w), got {ent!r}") from exc
-        i, j, w = int(i), int(j), float(w)
+            i, j, w = int(i), int(j), float(w)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"entry {idx}: expected numeric (i, j, w), got {ent!r}") from exc
         if i == j:
             raise ValidationError(f"entry {idx}: diagonal pair ({i},{j}) is not allowed")
         if i > j:
@@ -149,23 +149,65 @@ def _normalize_entries(n: int, entries, allow_diagonal: bool = False):
     return tuple(out)
 
 
+def _convert(values, typ, what: str) -> tuple:
+    try:
+        return tuple(typ(v) for v in values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{what} must be a list of {typ.__name__} values, got {values!r}") from exc
+
+
+# largest n that to_dense materializes (a 5000 x 5000 float64 matrix is 200 MB)
+_MAX_DENSE_N = 5000
+
+
 @dataclass(frozen=True)
-class QpRatioInstance:
-    """Symmetric weight matrix with zero diagonal, stored as i < j entries."""
+class _SymmetricInstance:
+    """Symmetric n x n matrix with its off-diagonal part stored as i < j entries."""
 
     n: int
     entries: tuple[tuple[int, int, float], ...]
-    bipartition: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
-    meta: Optional[dict] = None
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValidationError(f"instance size must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "entries", _normalize_entries(self.n, self.entries))
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self.entries:
+            ii = np.array([e[0] for e in self.entries], dtype=np.int64)
+            jj = np.array([e[1] for e in self.entries], dtype=np.int64)
+            ww = np.array([e[2] for e in self.entries], dtype=np.float64)
+        else:
+            ii = np.zeros(0, dtype=np.int64)
+            jj = np.zeros(0, dtype=np.int64)
+            ww = np.zeros(0, dtype=np.float64)
+        return ii, jj, ww
+
+    def to_dense(self) -> np.ndarray:
+        """The full symmetric matrix; refused above n = 5000."""
+        if self.n > _MAX_DENSE_N:
+            raise ValidationError(f"refusing to densify n={self.n} > {_MAX_DENSE_N}")
+        a = np.zeros((self.n, self.n), dtype=np.float64)
+        ii, jj, ww = self._arrays
+        a[ii, jj] = ww
+        a[jj, ii] = ww
+        return a
+
+
+@dataclass(frozen=True)
+class QpRatioInstance(_SymmetricInstance):
+    """Symmetric weight matrix with zero diagonal, stored as i < j entries."""
+
+    bipartition: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
+    meta: Optional[dict] = None
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.bipartition is not None:
             left, right = self.bipartition
-            left = tuple(int(v) for v in left)
-            right = tuple(int(v) for v in right)
+            left = _convert(left, int, "bipartition side")
+            right = _convert(right, int, "bipartition side")
             ls, rs = set(left), set(right)
             if ls & rs:
                 raise ValidationError("bipartition sides overlap")
@@ -177,46 +219,17 @@ class QpRatioInstance:
                     raise ValidationError(f"entry ({i},{j}) does not cross the bipartition")
             object.__setattr__(self, "bipartition", (left, right))
 
-    @classmethod
-    def from_entries(cls, n, entries, bipartition=None, meta=None) -> "QpRatioInstance":
-        return cls(int(n), tuple(entries), bipartition, meta)
-
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self.entries:
-            ii = np.array([e[0] for e in self.entries], dtype=np.int64)
-            jj = np.array([e[1] for e in self.entries], dtype=np.int64)
-            ww = np.array([e[2] for e in self.entries], dtype=np.float64)
-        else:
-            ii = np.zeros(0, dtype=np.int64)
-            jj = np.zeros(0, dtype=np.int64)
-            ww = np.zeros(0, dtype=np.float64)
-        return ii, jj, ww
-
-    def to_dense(self, max_n: int = 5000) -> np.ndarray:
-        if self.n > max_n:
-            raise ValidationError(f"refusing to densify n={self.n} > {max_n}")
-        a = np.zeros((self.n, self.n), dtype=np.float64)
-        ii, jj, ww = self._arrays
-        a[ii, jj] = ww
-        a[jj, ii] = ww
-        return a
-
 
 @dataclass(frozen=True)
-class QpIntermediateInstance:
+class QpIntermediateInstance(_SymmetricInstance):
     """Symmetric matrix with a nonpositive diagonal; variables range over [-1,1]."""
 
-    n: int
-    entries: tuple[tuple[int, int, float], ...]
     diag: tuple[float, ...]
     meta: Optional[dict] = None
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValidationError(f"instance size must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "entries", _normalize_entries(self.n, self.entries))
-        diag = tuple(float(v) for v in self.diag)
+        super().__post_init__()
+        diag = _convert(self.diag, float, "diagonal")
         if len(diag) != self.n:
             raise ValidationError(f"diagonal has length {len(diag)}, expected {self.n}")
         for k, v in enumerate(diag):
@@ -226,30 +239,14 @@ class QpIntermediateInstance:
                 raise ValidationError(f"diagonal entry {k} is {v}, must be <= 0")
         object.__setattr__(self, "diag", diag)
 
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self.entries:
-            ii = np.array([e[0] for e in self.entries], dtype=np.int64)
-            jj = np.array([e[1] for e in self.entries], dtype=np.int64)
-            ww = np.array([e[2] for e in self.entries], dtype=np.float64)
-        else:
-            ii = np.zeros(0, dtype=np.int64)
-            jj = np.zeros(0, dtype=np.int64)
-            ww = np.zeros(0, dtype=np.float64)
-        return ii, jj, ww
-
     def norm1(self) -> float:
         """sum_{i,j} |A_ij| over the full matrix, diagonal included."""
         _, _, ww = self._arrays
         return float(2.0 * np.sum(np.abs(ww)) + np.sum(np.abs(self.diag)))
 
-    def to_dense(self, max_n: int = 5000) -> np.ndarray:
-        if self.n > max_n:
-            raise ValidationError(f"refusing to densify n={self.n} > {max_n}")
-        a = np.diag(np.array(self.diag, dtype=np.float64))
-        ii, jj, ww = self._arrays
-        a[ii, jj] = ww
-        a[jj, ii] = ww
+    def to_dense(self) -> np.ndarray:
+        a = super().to_dense()
+        np.fill_diagonal(a, self.diag)
         return a
 
 
@@ -268,6 +265,13 @@ def _quad_sum(inst, x: np.ndarray) -> float:
     if ww.size == 0:
         return 0.0
     return float(2.0 * np.sum(ww * x[ii] * x[jj]))
+
+
+def vector_objective(inst: QpRatioInstance, w: np.ndarray) -> float:
+    """sum_{i != j} a_ij <w_i, w_j> for vectors w_i (the rows of w)."""
+    ii, jj, ww = inst._arrays
+    inner = np.einsum("ed,ed->e", w[ii], w[jj]) if ww.size else np.zeros(0)
+    return float(2.0 * np.sum(ww * inner))
 
 
 def eval_qp_ratio(inst: QpRatioInstance, a) -> RatioValue:
@@ -383,11 +387,9 @@ def instance_from_obj(obj):
         if bip is not None:
             if not (isinstance(bip, list) and len(bip) == 2):
                 raise ParseError("field 'bipartition' must be a pair of index lists")
-            bip = (tuple(bip[0]), tuple(bip[1]))
-        return QpRatioInstance(n, tuple(tuple(e) for e in entries), bip, meta)
+        return QpRatioInstance(n, entries, bip, meta)
     if kind == "qp_intermediate":
-        diag = _require(obj, "diag", list)
-        return QpIntermediateInstance(n, tuple(tuple(e) for e in entries), tuple(diag), meta)
+        return QpIntermediateInstance(n, entries, _require(obj, "diag", list), meta)
     raise ParseError(f"unknown instance kind {kind!r}")
 
 

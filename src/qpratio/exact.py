@@ -42,6 +42,13 @@ class BudgetExceeded(RuntimeError):
 _TAIL = 8
 # grid points scored at once by grid_search_intermediate (a multiple of 64)
 _GRID_BLOCK = 1 << 16
+# largest grid grid_search_intermediate scores, and the most partial
+# labelings brute_force_ratio_ug scans
+_GRID_POINTS = 2_500_000
+_UG_LABELINGS = 200_000
+# largest n the 3^n oracles enumerate whatever their cap: their score arrays
+# take about 120 MB at n = 14 and grow 3x per variable
+_ORACLE_MAX_N = 14
 
 
 def _assignment_grid(n: int) -> np.ndarray:
@@ -58,8 +65,7 @@ def _assignment_grid(n: int) -> np.ndarray:
 
 def _numerators(inst, x_rows: np.ndarray) -> np.ndarray:
     num = np.zeros(x_rows.shape[0], dtype=np.float64)
-    ii, jj, ww = inst._arrays
-    for i, j, w in zip(ii, jj, ww):
+    for i, j, w in inst.entries:
         num += (2.0 * w) * (x_rows[:, i].astype(np.float64) * x_rows[:, j])
     return num
 
@@ -103,6 +109,8 @@ def _brute_force(inst: QpRatioInstance, cap: int, normalized: bool) -> tuple[Ass
     """First maximizer, in lexicographic order, of num(x) / sum_i weights_i |x_i|.
 
     The weights are all 1 (plain ratio) or the degrees (normalized ratio).
+    Instances with n above ``cap``, or above 14 whatever ``cap`` says, are
+    refused before anything is allocated.
 
     Every assignment is scored by the head x tail split; the rows whose
     score is within ``delta`` of the best are rescored by the reference
@@ -121,6 +129,7 @@ def _brute_force(inst: QpRatioInstance, cap: int, normalized: bool) -> tuple[Ass
     the degrees keeps every partial sum finite.
     """
     n = inst.n
+    cap = min(cap, _ORACLE_MAX_N)
     if n > cap:
         raise BudgetExceeded(f"brute force refused: n={n} exceeds cap={cap}")
     d = degrees(inst)
@@ -173,7 +182,6 @@ def grid_search_intermediate(
     inst: QpIntermediateInstance,
     eps: float,
     cap: int = 4,
-    max_points: int = 2_500_000,
 ) -> tuple[FractionalAssignment, RatioValue]:
     """Exhaustive grid search within additive accuracy eps of the continuous optimum.
 
@@ -195,9 +203,8 @@ def grid_search_intermediate(
     base = 2 * steps + 1
     axis = (np.arange(base, dtype=np.float64) - steps) / steps
     total = base**n
-    if total > max_points:
-        raise BudgetExceeded(f"grid search refused: {base}^{n} = {total} points exceeds budget {max_points}")
-    ii, jj, ww = inst._arrays
+    if total > _GRID_POINTS:
+        raise BudgetExceeded(f"grid search refused: {base}^{n} = {total} points exceeds budget {_GRID_POINTS}")
     diag = np.array(inst.diag, dtype=np.float64)
     place = base ** np.arange(n - 1, -1, -1)
     best = None
@@ -208,7 +215,7 @@ def grid_search_intermediate(
         idx = np.arange(start, min(start + _GRID_BLOCK, total))
         rows = axis[idx[:, None] // place % base]
         num = rows * rows @ diag
-        for i, j, w in zip(ii, jj, ww):
+        for i, j, w in inst.entries:
             num += (2.0 * w) * rows[:, i] * rows[:, j]
         den = np.sum(np.abs(rows), axis=1)
         vals = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
@@ -220,7 +227,7 @@ def grid_search_intermediate(
     return x, RatioValue.of(num_k, den_k)
 
 
-def brute_force_ratio_ug(ug, budget: int = 200_000):
+def brute_force_ratio_ug(ug):
     """Exact maximum of satisfied-edges over labeled-vertices for partial labelings.
 
     The all-bottom labeling has value 0 by convention.  Labelings are scanned
@@ -231,9 +238,9 @@ def brute_force_ratio_ug(ug, budget: int = 200_000):
     v = ug.vertices
     r = ug.alphabet
     count = (r + 1) ** v
-    if count > budget:
+    if count > _UG_LABELINGS:
         raise BudgetExceeded(
-            f"ratio-UG brute force refused: ({r}+1)^{v} = {count} labelings exceed budget {budget}"
+            f"ratio-UG brute force refused: ({r}+1)^{v} = {count} labelings exceed budget {_UG_LABELINGS}"
         )
     options = [None] + list(range(r))
     best_val = 0.0
@@ -257,11 +264,14 @@ def brute_force_ratio_ug(ug, budget: int = 200_000):
 def brute_force_weighted_bipartite(matrix, left_weight: int, cap: int = 12) -> float:
     """max 2 x^T A y / (w ||x||_1 + ||y||_1) over x, y in {-1,0,1}; 0 if all-zero.
 
+    Refused when the two sides hold more than min(cap, 14) variables.
+
     The factor 2 matches the full-sum convention used by the ratio evaluators,
     so this is directly comparable with brute force on a replicated instance.
     """
     a = np.asarray(matrix, dtype=np.float64)
     nl, nr = a.shape
+    cap = min(cap, _ORACLE_MAX_N)
     if nl + nr > cap:
         raise BudgetExceeded(f"weighted brute force refused: {nl}+{nr} exceeds cap={cap}")
     xs = _assignment_grid(nl).astype(np.float64)

@@ -79,20 +79,10 @@ def _gap_sign_matrix(inst: QpRatioInstance) -> np.ndarray:
     s, n = len(left), len(right)
     if s * s != n or len(inst.entries) != s * n:
         raise ValidationError("instance is not a complete sqrt(n) x n bipartite sign matrix")
-    lpos = {v: k for k, v in enumerate(left)}
-    rpos = {v: k for k, v in enumerate(right)}
-    b = np.zeros((s, n))
-    for i, j, w in inst.entries:
-        if abs(w) != 1.0:
-            raise ValidationError(f"gap certificate needs +-1 weights, found {w}")
-        if i in lpos and j in rpos:
-            b[lpos[i], rpos[j]] = w
-        elif j in lpos and i in rpos:
-            b[lpos[j], rpos[i]] = w
-        else:
-            raise ValidationError(f"entry ({i},{j}) does not cross the bipartition")
-    if np.any(b == 0):
-        raise ValidationError("instance is missing cross pairs; not a complete bipartite matrix")
+    b = inst.to_dense()[np.ix_(left, right)]
+    bad = b[np.abs(b) != 1.0]
+    if bad.size:
+        raise ValidationError(f"gap certificate needs +-1 weights, found {bad[0]}")
     return b
 
 
@@ -217,16 +207,20 @@ class LevelGraphParams:
         return cliques + cross
 
 
-def gen_level_graph(params: LevelGraphParams, max_entries: int = 2_000_000) -> QpRatioInstance:
+# most entries gen_level_graph builds
+_LEVEL_GRAPH_ENTRIES = 2_000_000
+
+
+def gen_level_graph(params: LevelGraphParams) -> QpRatioInstance:
     """Explicit level-graph instance in cut-gain sign convention.
 
     Weights are negated (cliques -1, cross blocks -(1/2+eps)) so that the
     normalized evaluator applied directly yields the gain objective.
     """
     total_entries = params.entry_count()
-    if total_entries > max_entries:
+    if total_entries > _LEVEL_GRAPH_ENTRIES:
         raise BudgetExceeded(
-            f"level graph refused: {total_entries} entries exceed cap {max_entries}"
+            f"level graph refused: {total_entries} entries exceed cap {_LEVEL_GRAPH_ENTRIES}"
         )
     sizes = params.level_sizes()
     offsets = np.concatenate([[0], np.cumsum(sizes)])
@@ -395,17 +389,15 @@ def apx_planted_assignment(n: int, cut_signs: Sequence[int]) -> Assignment:
     return Assignment(tuple(vals))
 
 
-def random_instance(
-    n: int, seed: int, density: float = 1.0, weight_range: tuple[float, float] = (-1.0, 1.0)
-) -> QpRatioInstance:
-    """Seeded dense-ish random instance; harness fodder, not a structured family."""
+def random_instance(n: int, seed: int, density: float = 1.0) -> QpRatioInstance:
+    """Seeded dense-ish random instance with uniform weights in [-1, 1);
+    harness fodder, not a structured family."""
     if not 0 < density <= 1:
         raise ValidationError(f"density must be in (0,1], got {density}")
     rng = rng_for(seed, 0x44)
-    lo, hi = weight_range
     entries = []
     for i in range(n):
         for j in range(i + 1, n):
             if density >= 1.0 or rng.random() < density:
-                entries.append((i, j, float(rng.uniform(lo, hi))))
+                entries.append((i, j, float(rng.uniform(-1.0, 1.0))))
     return QpRatioInstance(n, tuple(entries), meta=_meta("random", seed, n=n, density=density))

@@ -30,12 +30,17 @@ from .core import (
     QpRatioInstance,
     RatioValue,
     ValidationError,
+    vector_objective,
 )
 from .exact import BudgetExceeded
 from .sdp import GramSolution
 from .util import RNG_TAG, rng_for
 
 BOOLFN_MAX_R = 12
+# most variables the k-AND and variable-splitting reductions emit, and the
+# ug reduction, which also builds a dense n_vars x n_vars matrix
+_REDUCTION_VARS = 4096
+_UG_REDUCTION_VARS = 512
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +120,6 @@ class BoolFn:
     def nonlinear_l2sq(self) -> float:
         """Fourier mass away from the degree-1 level."""
         return self.l2sq() - float(np.sum(self.linear_coeffs() ** 2))
-
-
-def inverse_fourier(coeffs: np.ndarray) -> np.ndarray:
-    """Table values from a coefficient table (the transform is an involution)."""
-    return fwht(coeffs)
 
 
 def check_smallball(f: BoolFn) -> bool:
@@ -251,12 +251,6 @@ class KandMapping:
     w: int
     alpha: float
 
-    def var_index(self, copy: int, var: int) -> int:
-        return copy * self.n + var
-
-    def clause_index(self, j: int) -> int:
-        return self.w * self.n + j
-
     def embed(self, f, g) -> Assignment:
         fv = [int(v) for v in np.asarray(f).ravel()]
         gv = [int(v) for v in np.asarray(g).ravel()]
@@ -275,9 +269,7 @@ class KandMapping:
         return float(np.mean(np.abs(g)))
 
 
-def kand_to_qpratio(
-    inst: KAndInstance, alpha: float, max_vars: int = 4096
-) -> tuple[QpRatioInstance, KandMapping]:
+def kand_to_qpratio(inst: KAndInstance, alpha: float) -> tuple[QpRatioInstance, KandMapping]:
     """Bipartite instance with w = round(1/alpha) copies of the variable side.
 
     Copy weights are a_ij / w, which makes the plain-denominator optimum equal
@@ -291,8 +283,8 @@ def kand_to_qpratio(
     if w < 1 or abs(1.0 / alpha - w) > 1e-9:
         raise ValidationError(f"1/alpha = {1.0/alpha} is not close to an integer")
     total = w * inst.n + inst.m
-    if total > max_vars:
-        raise BudgetExceeded(f"replicated instance needs {total} variables, cap is {max_vars}")
+    if total > _REDUCTION_VARS:
+        raise BudgetExceeded(f"replicated instance needs {total} variables, cap is {_REDUCTION_VARS}")
     entries = []
     scale = 1.0 / (inst.m * w)
     for j, clause in enumerate(inst.clauses):
@@ -555,9 +547,6 @@ class UgMapping:
     def n_vars(self) -> int:
         return self.vertices * self.table_size
 
-    def var_index(self, u: int, point: int) -> int:
-        return u * self.table_size + point
-
     def embed(self, profile: Sequence[Optional[BoolFn]]) -> FractionalAssignment:
         parts = []
         for f in profile:
@@ -570,9 +559,7 @@ def ug_eta(vertices: int, alphabet: int) -> float:
     return 1e6 * float(vertices) ** 7 * 2.0 ** (4 * alphabet)
 
 
-def ug_to_intermediate(
-    ug: UgInstance, max_vars: int = 512
-) -> tuple[QpIntermediateInstance, UgMapping]:
+def ug_to_intermediate(ug: UgInstance) -> tuple[QpIntermediateInstance, UgMapping]:
     """Quadratic form (mean edge match - eta * mean non-linearity) over mean |f|.
 
     One variable per table value f_u(x); the matrix is scaled by the variable
@@ -582,8 +569,8 @@ def ug_to_intermediate(
     nv, r = ug.vertices, ug.alphabet
     size = 2**r
     n_vars = nv * size
-    if n_vars > max_vars:
-        raise BudgetExceeded(f"reduction needs {n_vars} variables, cap is {max_vars}")
+    if n_vars > _UG_REDUCTION_VARS:
+        raise BudgetExceeded(f"reduction needs {n_vars} variables, cap is {_UG_REDUCTION_VARS}")
     if not ug.edges:
         raise ValidationError("reduction needs at least one constraint edge")
     eta = ug_eta(nv, r)
@@ -619,9 +606,7 @@ def ug_to_intermediate(
     return inst, UgMapping(nv, r, eta)
 
 
-def intermediate_to_qpratio(
-    inst: QpIntermediateInstance, eps: float, max_vars: int = 4096
-) -> tuple[QpRatioInstance, int]:
+def intermediate_to_qpratio(inst: QpIntermediateInstance, eps: float) -> tuple[QpRatioInstance, int]:
     """Split each variable into m copies and drop the squared copy terms.
 
     m is the smallest integer above max(2 ||A||_1 / eps, 2n); copy pairs carry
@@ -634,8 +619,8 @@ def intermediate_to_qpratio(
     norm1 = inst.norm1()
     m = int(math.floor(max(2.0 * norm1 / eps, 2.0 * n) + 1e-12)) + 1
     total = n * m
-    if total > max_vars:
-        raise BudgetExceeded(f"split instance needs {total} variables, cap is {max_vars}")
+    if total > _REDUCTION_VARS:
+        raise BudgetExceeded(f"split instance needs {total} variables, cap is {_REDUCTION_VARS}")
 
     def idx(i: int, c: int) -> int:
         return i * m + c
@@ -727,10 +712,7 @@ def embed_basic_sdp_to_csp(
     gram_delta = float(np.max(np.abs(diff @ diff.T - w @ w.T)))
     obj_delta = None
     if inst is not None:
-        ii, jj, ww = inst._arrays
-        inner = np.einsum("ed,ed->e", diff[ii], diff[jj]) if ww.size else np.zeros(0)
-        obj = float(2.0 * np.sum(ww * inner))
-        obj_delta = abs(obj - sol.objective)
+        obj_delta = abs(vector_objective(inst, diff) - sol.objective)
     norm_ok = norm_res <= tol + sol.residual_norm1
     ok = (
         max_orth <= tol

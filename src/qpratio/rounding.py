@@ -81,7 +81,6 @@ def round_close_lengths(
     inst: QpRatioInstance,
     sol: GramSolution,
     seed: int = 0,
-    trials: int | None = None,
     on_step=None,
 ) -> tuple[Assignment, RatioValue]:
     """Round a solution whose nonzero vectors have comparable lengths.
@@ -145,10 +144,9 @@ def round_close_lengths(
         return base
     wsel = units[chosen]
     t_scale = 2.0 * math.sqrt(math.log(max(n, 2)))
-    r_trials = trials if trials is not None else int(math.ceil(8 * math.log(max(n, 2)))) + 8
     rng = rng_for(seed, 0xC1)
     best = base
-    for _ in range(r_trials):
+    for _ in range(int(math.ceil(8 * math.log(max(n, 2)))) + 8):
         g = rng.standard_normal(wsel.shape[1])
         z = np.clip((wsel @ g) / t_scale, -1.0, 1.0)
         u = rng.random(chosen.size)
@@ -231,14 +229,7 @@ def solve_bipartite(inst: QpRatioInstance, seed: int = 0) -> tuple[Assignment, R
     w[right] /= math.sqrt(2.0 * sr)
     sq = np.einsum("id,id->i", w, w)
 
-    lpos = {int(v): k for k, v in enumerate(left)}
-    rpos = {int(v): k for k, v in enumerate(right)}
-    amat = np.zeros((left.size, right.size))
-    for i, j, wt in inst.entries:
-        if i in lpos:
-            amat[lpos[i], rpos[j]] = wt
-        else:
-            amat[lpos[j], rpos[i]] = wt
+    amat = inst.to_dense()[np.ix_(left, right)]
 
     max_level = int(math.ceil(math.log2(2 * n))) + 1
 

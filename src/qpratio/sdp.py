@@ -5,7 +5,7 @@ and |<w_i, w_j>| <= w_i^2 for all pairs, which pushes nonzero vectors toward
 equal lengths.  The solver is a low-rank factorization ascent with soft pair
 penalties that advances all restarts as one stacked iterate; for s >= 0 the
 penalty gradient uses sign(g) max(0, |g| - s) = g - clip(g, -s, s).  The
-penalty climbs a ladder of 8 short phases (75 steps each by default, weight
+penalty climbs a ladder of 8 short phases (75 steps each, weight
 0.25 * 4^k * max(1, max|a_ij|)), so it ends high enough that repairing
 the last phases to exact feasibility costs little objective.  Every
 integer assignment embeds exactly feasibly, so the returned objective is
@@ -20,9 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Assignment, QpRatioInstance, ValidationError, trivial_solution
-from .exact import brute_force_qp_ratio
+from .core import Assignment, QpRatioInstance, ValidationError, trivial_solution, vector_objective
 from .util import rng_for
+
+# steps per penalty phase of the ascent
+_PHASE_STEPS = 75
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,9 +42,7 @@ class GramSolution:
         if w.ndim != 2 or w.shape[0] != inst.n or w.shape[1] < 1:
             raise ValidationError(f"expected an {inst.n} x d vector array, got shape {w.shape}")
         w.setflags(write=False)
-        ii, jj, ww = inst._arrays
-        inner = np.einsum("ed,ed->e", w[ii], w[jj]) if ww.size else np.zeros(0)
-        objective = float(2.0 * np.sum(ww * inner))
+        objective = vector_objective(inst, w)
         sq = np.einsum("id,id->i", w, w)
         norm1 = abs(float(np.sum(sq)) - 1.0)
         g = np.abs(w @ w.T)
@@ -51,10 +51,6 @@ class GramSolution:
         np.fill_diagonal(viol, 0.0)
         pair = float(max(0.0, np.max(viol))) if inst.n > 1 else 0.0
         return cls(w, objective, norm1, pair)
-
-    @property
-    def rank(self) -> int:
-        return int(self.vectors.shape[1])
 
     def squared_lengths(self) -> np.ndarray:
         return np.einsum("id,id->i", self.vectors, self.vectors)
@@ -167,13 +163,11 @@ def _ascend_stack(a: np.ndarray, w0: np.ndarray, iters: int) -> list[np.ndarray 
 def sdp_solve(
     inst: QpRatioInstance,
     rank: int | None = None,
-    tol: float = 1e-6,
     seed: int = 0,
     warm_starts=(),
     restarts: int = 3,
-    iters: int = 75,
 ) -> GramSolution:
-    """Best feasible-within-tol solution among penalized ascents and warm starts.
+    """Best feasible-within-1e-6 solution among penalized ascents and warm starts.
 
     `warm_starts` may hold assignments (embedded exactly) or ready-made
     GramSolutions; the single-edge baseline is always included, so the result
@@ -183,8 +177,8 @@ def sdp_solve(
     d = rank if rank is not None else int(math.ceil(math.sqrt(2 * inst.n))) + 1
     if d < 2:
         raise ValidationError(f"rank must be at least 2, got {d}")
-    if restarts < 0 or iters < 1:
-        raise ValidationError(f"need restarts >= 0 and iters >= 1, got {restarts} and {iters}")
+    if restarts < 0:
+        raise ValidationError(f"need restarts >= 0, got {restarts}")
     candidates: list[GramSolution] = []
     base, _ = trivial_solution(inst)
     if base.support == 0:
@@ -202,11 +196,11 @@ def sdp_solve(
         a = inst.to_dense()
         w0 = np.stack([rng_for(seed, 0x5D, r).standard_normal((inst.n, d)) for r in range(restarts)])
         w0 /= np.linalg.norm(w0, axis=(1, 2), keepdims=True)
-        for w in _ascend_stack(a, w0, iters):
+        for w in _ascend_stack(a, w0, _PHASE_STEPS):
             if w is None:
                 continue
             sol = GramSolution.build(inst, w)
-            if sdp_feasibility(sol, tol)[0]:
+            if sdp_feasibility(sol)[0]:
                 candidates.append(sol)
     best = candidates[0]
     for sol in candidates[1:]:
@@ -214,8 +208,3 @@ def sdp_solve(
             best = sol
     return best
 
-
-def sdp_upper_check(inst: QpRatioInstance, sol: GramSolution, cap: int = 12, tol: float = 1e-6) -> bool:
-    """True iff the brute-force optimum is below the solution's objective + tol."""
-    _, opt = brute_force_qp_ratio(inst, cap=cap)
-    return opt.value <= sol.objective + tol

@@ -72,14 +72,14 @@ def eigen_max(matrix, tol: float = 1e-10, seed: int = 0) -> EigenResult:
     return EigenResult(lam, v, 1, res)
 
 
-def eig_relaxation_value(inst: QpRatioInstance, tol: float = 1e-10, seed: int = 0) -> float:
+def eig_relaxation_value(inst: QpRatioInstance, seed: int = 0) -> float:
     """Top eigenvalue of the weight matrix; upper-bounds the integer optimum."""
     if not inst.entries:
         return 0.0
-    return eigen_max(inst.to_dense(), tol=tol, seed=seed).lambda_max
+    return eigen_max(inst.to_dense(), seed=seed).lambda_max
 
 
-def normalized_eig(inst: QpRatioInstance, tol: float = 1e-10, seed: int = 0) -> tuple[float, np.ndarray]:
+def normalized_eig(inst: QpRatioInstance, seed: int = 0) -> tuple[float, np.ndarray]:
     """Top eigenvalue of D^{-1/2} A D^{-1/2} plus the Rayleigh witness x.
 
     Zero-degree vertices are deleted before normalizing; the witness is padded
@@ -93,14 +93,14 @@ def normalized_eig(inst: QpRatioInstance, tol: float = 1e-10, seed: int = 0) -> 
     dsub = degrees(sub)
     inv_sqrt = 1.0 / np.sqrt(dsub)
     s = sub.to_dense() * inv_sqrt[:, None] * inv_sqrt[None, :]
-    res = eigen_max(s, tol=tol, seed=seed)
+    res = eigen_max(s, seed=seed)
     x = np.zeros(inst.n)
     x[kept] = res.vector * inv_sqrt
     return res.lambda_max, x
 
 
-def normalized_eig_value(inst: QpRatioInstance, tol: float = 1e-10, seed: int = 0) -> float:
-    return normalized_eig(inst, tol=tol, seed=seed)[0]
+def normalized_eig_value(inst: QpRatioInstance, seed: int = 0) -> float:
+    return normalized_eig(inst, seed=seed)[0]
 
 
 def trevisan_round(inst: QpRatioInstance, x) -> tuple[Assignment, RatioValue]:
@@ -133,7 +133,6 @@ def psd_polylog_round(
     inst: QpRatioInstance,
     x,
     diag=None,
-    tol: float = 1e-8,
     seed: int = 0,
 ) -> tuple[Assignment, RatioValue]:
     """Level-bucket rounding for instances whose completed form is PSD.
@@ -143,8 +142,10 @@ def psd_polylog_round(
     to the level ceiling with the sign that does not decrease the completed
     quadratic form (coordinatewise convex since a PSD form has a nonnegative
     diagonal), then the uniform-magnitude vector is read off as signs.
-    Returns the best level candidate or the single-edge baseline.  Nothing
-    here is random; seed is accepted for callers that pass one.
+    Returns the best level candidate or the single-edge baseline.  A
+    completed form with an eigenvalue below -1e-8 (1 + max |entry|) is
+    refused.  Nothing here is random; seed is accepted for callers that
+    pass one.
     """
     n = inst.n
     xv = np.asarray(x, dtype=np.float64).ravel()
@@ -156,7 +157,7 @@ def psd_polylog_round(
     a_full = inst.to_dense() + np.diag(dvec)
     scale = 1.0 + float(np.max(np.abs(a_full)))
     min_eig = float(np.linalg.eigvalsh(a_full)[0])
-    if min_eig < -tol * scale:
+    if min_eig < -1e-8 * scale:
         raise ValidationError(f"completed form is not PSD (min eigenvalue {min_eig:.3e})")
 
     best = trivial_solution(inst)

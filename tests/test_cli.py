@@ -207,3 +207,63 @@ class TestBench:
         with open(csv_path, newline="") as fh:
             statuses = sorted((r["algo"], r["status"]) for r in csv.DictReader(fh))
         assert statuses == [("general", "ok")] * 2 + [("trevisan", "error:ConvergenceError")] * 2
+
+
+EDGE = '{"kind": "qp_ratio", "n": 2, "entries": [[0, 1, 1.0]]}'
+
+
+class TestBadInput:
+    """Malformed files and missing flags are usage errors (exit 2), not internal ones."""
+
+    @pytest.mark.parametrize(
+        "argv, files, needle",
+        [
+            (["exact", "in.json"], {"in.json": '{"kind": "qp_ratio", "n": 2, "entries": [[0, 1, null]]}'}, "entry 0"),
+            (["exact", "in.json"], {"in.json": '{"kind": "qp_ratio", "n": 2, "entries": [[0, 1, "x"]]}'}, "entry 0"),
+            (
+                ["exact", "in.json"],
+                {"in.json": '{"kind": "qp_intermediate", "n": 2, "entries": [], "diag": [0.0, null]}'},
+                "diagonal",
+            ),
+            (
+                ["exact", "in.json"],
+                {"in.json": '{"kind": "qp_ratio", "n": 2, "entries": [], "bipartition": [[0], ["a"]]}'},
+                "bipartition",
+            ),
+            (["certify", "in.json", "--gram", "g.json"], {"in.json": EDGE, "g.json": "{nope"}, "invalid JSON"),
+            (["certify", "in.json", "--gram", "g.json"], {"in.json": EDGE, "g.json": '{"rows": []}'}, "'vectors'"),
+            (
+                ["certify", "in.json", "--gram", "g.json"],
+                {"in.json": EDGE, "g.json": '{"vectors": [[1.0, 0.0], [1.0]]}'},
+                "one length",
+            ),
+            (
+                ["reduce", "k.json", "--from", "kand", "--out", "out.json"],
+                {"k.json": '{"kind": "kand", "n": 4, "k": 2}'},
+                "'clauses'",
+            ),
+            (["gen", "star", "--out", "out.json"], {}, "--leaves"),
+            (["gen", "random", "--out", "out.json"], {}, "--n"),
+            (["bench", "cfg.json"], {"cfg.json": "[]"}, "JSON object"),
+        ],
+        ids=[
+            "null-weight",
+            "string-weight",
+            "null-diagonal",
+            "string-bipartition-index",
+            "gram-not-json",
+            "gram-without-vectors",
+            "gram-ragged-rows",
+            "kand-without-clauses",
+            "star-without-leaves",
+            "random-without-n",
+            "bench-config-list",
+        ],
+    )
+    def test_exits_2(self, tmp_path, monkeypatch, capsys, argv, files, needle):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from qpratio.core import (
@@ -143,6 +145,40 @@ class TestInstanceValidation:
 
     def test_ratio_value_zero_denominator(self):
         assert RatioValue.of(0.0, 0.0).value == 0.0
+
+
+class TestInstanceBase:
+    ENTRIES = ((0, 1, 1.5), (0, 3, -2.0), (2, 3, 0.25))
+
+    def test_to_dense_of_both_kinds(self):
+        want = np.zeros((4, 4))
+        for i, j, w in self.ENTRIES:
+            want[i, j] = w
+            want[j, i] = w
+        assert np.array_equal(QpRatioInstance(4, self.ENTRIES).to_dense(), want)
+        diag = (-1.0, 0.0, -0.5, -3.0)
+        for k, v in enumerate(diag):
+            want[k, k] = v
+        assert np.array_equal(QpIntermediateInstance(4, self.ENTRIES, diag).to_dense(), want)
+
+    def test_kinds_never_equal(self):
+        ratio = QpRatioInstance(4, self.ENTRIES)
+        inter = QpIntermediateInstance(4, self.ENTRIES, (0.0,) * 4)
+        assert ratio.entries == inter.entries
+        assert ratio != inter and inter != ratio
+
+    def test_entries_are_a_hashable_tuple(self):
+        inst = QpRatioInstance(4, [[3, 2, 0.25], [0, 1, 1.5], [0, 3, -2.0]])
+        assert isinstance(inst.entries, tuple)
+        assert {inst.entries: "x"}[self.ENTRIES] == "x"
+
+    def test_positional_field_order(self):
+        assert [f.name for f in dataclasses.fields(QpRatioInstance)] == ["n", "entries", "bipartition", "meta"]
+        assert [f.name for f in dataclasses.fields(QpIntermediateInstance)] == ["n", "entries", "diag", "meta"]
+
+    def test_to_dense_refused_above_5000(self):
+        with pytest.raises(ValidationError, match="n=5001"):
+            QpRatioInstance(5001, ()).to_dense()
 
 
 class TestSerialization:

@@ -89,6 +89,13 @@ class TestBruteForce:
         with pytest.raises(BudgetExceeded, match="n=13 exceeds cap=12"):
             brute_force_qp_ratio(QpRatioInstance(13, ()), cap=12)
 
+    @pytest.mark.parametrize("oracle", [brute_force_qp_ratio, brute_force_normalized])
+    def test_refused_past_n14_whatever_the_cap(self, oracle):
+        # n = 15 would take three 3^15 float64 arrays (about 350 MB); the
+        # refusal comes before anything is allocated
+        with pytest.raises(BudgetExceeded, match="n=15 exceeds cap=14"):
+            oracle(QpRatioInstance(15, ()), cap=20)
+
     def test_oracle_dominance(self):
         rng = rng_for(21)
         for seed in range(5):
@@ -306,12 +313,16 @@ class TestRatioUgBruteForce:
         assert (u, v) in ((0, 1), (1, 0))
 
     def test_budget_refusal(self):
-        ug = UgInstance(2, 2, ((0, 1, (0, 1)),))
-        with pytest.raises(BudgetExceeded):
-            brute_force_ratio_ug(ug, budget=4)
+        # (4 + 1)^8 = 390625 labelings, over the 200000 budget
+        with pytest.raises(BudgetExceeded, match="390625"):
+            brute_force_ratio_ug(UgInstance(8, 4, ()))
 
 
 class TestWeightedBipartite:
+    def test_refused_past_14_variables_whatever_the_cap(self):
+        with pytest.raises(BudgetExceeded, match="exceeds cap=14"):
+            brute_force_weighted_bipartite(np.zeros((5, 10)), 1, cap=20)
+
     def test_hand_case(self):
         # single cross pair weight 1, left weight 2:
         # best is x=y=1 with 2*1/(2+1) = 2/3

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qpratio.core import QpRatioInstance, eval_normalized_fractional, eval_qp_ratio
+from qpratio.core import QpRatioInstance, ValidationError, eval_normalized_fractional, eval_qp_ratio
 from qpratio.exact import BudgetExceeded, brute_force_qp_ratio
 from qpratio.generators import (
     LevelGraphParams,
@@ -98,6 +98,17 @@ class TestGapCertificate:
         star = gen_star(4)
         with pytest.raises(Exception):
             gen_gap_sdp_certificate(star)
+
+    def test_rejects_weight_that_is_not_a_sign(self):
+        gap = gen_bipartite_gap(4, seed=7)
+        entries = ((0, 2, 0.5),) + gap.entries[1:]
+        with pytest.raises(ValidationError, match="weights, found 0.5"):
+            gen_gap_sdp_certificate(QpRatioInstance(gap.n, entries, gap.bipartition))
+
+    def test_rejects_missing_cross_pair(self):
+        gap = gen_bipartite_gap(4, seed=7)
+        with pytest.raises(ValidationError, match="not a complete"):
+            gen_gap_sdp_certificate(QpRatioInstance(gap.n, gap.entries[1:], gap.bipartition))
 
 
 class TestPlanted:

@@ -3,6 +3,7 @@ import pytest
 
 from qpratio.core import QpIntermediateInstance, QpRatioInstance, eval_qp_intermediate
 from qpratio.exact import (
+    BudgetExceeded,
     brute_force_qp_ratio,
     brute_force_weighted_bipartite,
     grid_search_intermediate,
@@ -162,6 +163,10 @@ class TestKandReduction:
         with pytest.raises(Exception):
             kand_to_qpratio(inst, alpha=0.4)
 
+    def test_budget_refusal(self):
+        with pytest.raises(BudgetExceeded, match="4097 variables, cap is 4096"):
+            kand_to_qpratio(KAndInstance(4097, 1, ()), 1.0)
+
 
 class TestConcentration:
     def test_planted_full_fraction(self):
@@ -281,9 +286,10 @@ class TestUgReduction:
             assert got == pytest.approx(val * ug.vertices / len(ug.edges), rel=1e-12)
 
     def test_budget_refusal(self):
-        ug = UgInstance(2, 8, ((0, 1, tuple(range(8))),))
-        with pytest.raises(Exception):
-            ug_to_intermediate(ug, max_vars=100)
+        # 2 * 2^9 = 1024 variables, over the 512 cap
+        ug = UgInstance(2, 9, ((0, 1, tuple(range(9))),))
+        with pytest.raises(BudgetExceeded, match="1024"):
+            ug_to_intermediate(ug)
 
 
 class TestIntermediateSplit:
@@ -300,6 +306,12 @@ class TestIntermediateSplit:
         _, grid = grid_search_intermediate(inst, eps=0.05)
         _, brute = brute_force_qp_ratio(img, cap=12)
         assert abs(grid.value - brute.value) <= 1.0
+
+    def test_budget_refusal(self):
+        # m = 2n + 1 = 93 copies of 46 variables: 4278 > 4096 (n = 45 needs 4095)
+        intermediate_to_qpratio(QpIntermediateInstance(45, (), (0.0,) * 45), eps=1.0)
+        with pytest.raises(BudgetExceeded, match="4278 variables"):
+            intermediate_to_qpratio(QpIntermediateInstance(46, (), (0.0,) * 46), eps=1.0)
 
     def test_zero_matrix(self):
         inst = QpIntermediateInstance(2, (), (0.0, 0.0))
