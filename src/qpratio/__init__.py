@@ -3,6 +3,7 @@ relaxations, rounding pipelines, instance generators and reductions."""
 
 from .core import (
     Assignment,
+    BudgetExceeded,
     DimensionMismatch,
     FractionalAssignment,
     ParseError,
@@ -22,7 +23,6 @@ from .core import (
     trivial_solution,
 )
 from .exact import (
-    BudgetExceeded,
     brute_force_normalized,
     brute_force_qp_ratio,
     brute_force_ratio_ug,

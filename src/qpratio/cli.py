@@ -20,8 +20,7 @@ import time
 import numpy as np
 
 from . import core, exact, generators, hardness, rounding, sdp, spectral
-from .core import ParseError, ValidationError
-from .exact import BudgetExceeded
+from .core import BudgetExceeded, ParseError, ValidationError
 
 CSV_HEADER = "instance_id,family,n,seed,algo,value,bound,bound_kind,ratio,support,runtime_ms,status".split(",")
 
@@ -138,8 +137,7 @@ def _run_algo(inst: core.QpRatioInstance, algo: str, seed: int, eps: float):
         _, x = spectral.normalized_eig(inst, seed=seed)
         if not np.any(x):
             return core.trivial_solution(inst)
-        a, _ = spectral.trevisan_round(inst, x)
-        return a, core.eval_normalized_qp_ratio(inst, a)
+        return spectral.trevisan_round(inst, x)
     if algo == "psd":
         if not inst.entries:
             return core.trivial_solution(inst)
@@ -394,9 +392,17 @@ def _render_svg(rows: list[dict]) -> str:
 def cmd_bench(args) -> int:
     cfg = _load_json_object(args.config)
     algos = cfg.get("algos", ["general"])
-    cap = int(cfg.get("cap", 12))
-    seed = int(cfg.get("seed", 0))
+    if not (isinstance(algos, list) and all(isinstance(x, str) for x in algos)):
+        raise ParseError(f"{args.config}: 'algos' must be a list of algorithm names")
+    try:
+        cap = int(cfg.get("cap", 12))
+        seed = int(cfg.get("seed", 0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{args.config}: 'cap' and 'seed' must be integers") from exc
     instances = core._require(cfg, "instances", list, args.config)
+    for k, item in enumerate(instances):
+        if not isinstance(item, dict):
+            raise ParseError(f"{args.config}: instances item {k} must be a JSON object")
     rows = [r for it in instances for r in _bench_one(it, algos, cap, seed)]
     rows.sort(key=lambda r: (r["instance_id"], r["algo"]))
     out_csv = cfg.get("out_csv", "bench.csv")

@@ -33,6 +33,10 @@ class ParseError(ValidationError):
     """A serialized instance file is malformed."""
 
 
+class BudgetExceeded(RuntimeError):
+    """The requested enumeration is over the configured budget."""
+
+
 @dataclass(frozen=True)
 class RatioValue:
     """Numerator/denominator pair with the ratio (0 when the denominator is 0)."""
@@ -209,6 +213,10 @@ class QpRatioInstance(_SymmetricInstance):
             left = _convert(left, int, "bipartition side")
             right = _convert(right, int, "bipartition side")
             ls, rs = set(left), set(right)
+            for side, uniq in ((left, ls), (right, rs)):
+                if len(uniq) != len(side):
+                    dup = next(v for v in side if side.count(v) > 1)
+                    raise ValidationError(f"bipartition index {dup} appears twice in one side")
             if ls & rs:
                 raise ValidationError("bipartition sides overlap")
             for v in ls | rs:

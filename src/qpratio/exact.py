@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import (
     Assignment,
+    BudgetExceeded,
     FractionalAssignment,
     QpIntermediateInstance,
     QpRatioInstance,
@@ -30,11 +31,7 @@ from .core import (
     ValidationError,
     degrees,
 )
-
-
-class BudgetExceeded(RuntimeError):
-    """The requested enumeration is over the configured budget."""
-
+from .hardness import PartialLabeling, eval_ratio_ug
 
 # number of tail variables in the oracles' head x tail split: at n = 12 a
 # tail of 8 scores all assignments in 11 ms, against 15 ms for 4 or 6 and
@@ -233,8 +230,6 @@ def brute_force_ratio_ug(ug):
     The all-bottom labeling has value 0 by convention.  Labelings are scanned
     with bottom ordered before label 0, so ties resolve deterministically.
     """
-    from .hardness import PartialLabeling  # local import to keep layering acyclic
-
     v = ug.vertices
     r = ug.alphabet
     count = (r + 1) ** v
@@ -244,21 +239,14 @@ def brute_force_ratio_ug(ug):
         )
     options = [None] + list(range(r))
     best_val = 0.0
-    best = tuple([None] * v)
+    best = PartialLabeling(tuple([None] * v))
     for labels in itertools.product(options, repeat=v):
-        labeled = sum(1 for x in labels if x is not None)
-        if labeled == 0:
-            continue
-        sat = 0
-        for u, w, perm in ug.edges:
-            lu, lw = labels[u], labels[w]
-            if lu is not None and lw is not None and perm[lu] == lw:
-                sat += 1
-        val = sat / labeled
+        labeling = PartialLabeling(labels)
+        val = eval_ratio_ug(ug, labeling)
         if val > best_val:
             best_val = val
-            best = labels
-    return PartialLabeling(best), best_val
+            best = labeling
+    return best, best_val
 
 
 def brute_force_weighted_bipartite(matrix, left_weight: int, cap: int = 12) -> float:

@@ -16,11 +16,11 @@ import numpy as np
 
 from .core import (
     Assignment,
+    BudgetExceeded,
     QpRatioInstance,
     RatioValue,
     ValidationError,
 )
-from .exact import BudgetExceeded
 from .sdp import GramSolution
 from .util import RNG_TAG, rng_for
 

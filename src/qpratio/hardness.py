@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import (
     Assignment,
+    BudgetExceeded,
     FractionalAssignment,
     QpIntermediateInstance,
     QpRatioInstance,
@@ -32,7 +33,6 @@ from .core import (
     ValidationError,
     vector_objective,
 )
-from .exact import BudgetExceeded
 from .sdp import GramSolution
 from .util import RNG_TAG, rng_for
 
@@ -438,7 +438,7 @@ def check_expansion(
 class UgInstance:
     """Unique-game constraints (u, v, pi): edge satisfied iff pi[L(u)] == L(v).
 
-    The constraint graph must be regular; the common degree is recorded.
+    The constraint graph must be regular.
     """
 
     vertices: int
@@ -465,10 +465,6 @@ class UgInstance:
         if self.edges and len(set(deg)) != 1:
             raise ValidationError(f"constraint graph is not regular (degrees {sorted(set(deg))})")
         object.__setattr__(self, "edges", tuple(norm))
-
-    @property
-    def degree(self) -> int:
-        return 0 if not self.edges else 2 * len(self.edges) // self.vertices
 
 
 @dataclass(frozen=True)
@@ -542,10 +538,6 @@ class UgMapping:
     @property
     def table_size(self) -> int:
         return 2**self.alphabet
-
-    @property
-    def n_vars(self) -> int:
-        return self.vertices * self.table_size
 
     def embed(self, profile: Sequence[Optional[BoolFn]]) -> FractionalAssignment:
         parts = []

@@ -21,54 +21,53 @@ from .core import (
     ValidationError,
     eval_qp_ratio,
     trivial_solution,
+    vector_objective,
 )
-from .sdp import GramSolution, sdp_solve
+from .sdp import sdp_solve
 from .util import rng_for
 
 
-def preprocess_small(inst: QpRatioInstance, sol: GramSolution) -> GramSolution:
-    """Grow or drop every vector of squared length below 1/n.
+def preprocess_small(inst: QpRatioInstance, w: np.ndarray) -> np.ndarray:
+    """Grow or drop every vector of squared length below 1/n; returns a new array.
 
     A small vector with nonpositive cross-term S_i = sum_j a_ij <v_i, v_j> is
     zeroed; otherwise it is rescaled to squared length exactly 1/n.  Neither
     operation decreases the objective sum, and the total squared length stays
-    at most 2 when starting from a unit-sum solution.
+    at most 2 when starting from a unit-sum solution.  Changing one vector
+    leaves every other length as it was, so the initially small vectors are
+    visited once, in index order.
     """
     n = inst.n
-    w = np.array(sol.vectors, dtype=np.float64)
+    w = np.array(w, dtype=np.float64)
     a = inst.to_dense()
-    obj_before = float(np.sum(a * (w @ w.T)))
+    obj_before = vector_objective(inst, w)
     floor = 1.0 / n
-    for _ in range(2 * n + 1):
-        sq = np.einsum("id,id->i", w, w)
-        small = np.nonzero((sq > 0) & (sq < floor * (1 - 1e-12)))[0]
-        if small.size == 0:
-            break
-        i = int(small[0])
+    sq = np.einsum("id,id->i", w, w)
+    for i in np.nonzero((sq > 0) & (sq < floor * (1 - 1e-12)))[0]:
         s_i = float(a[i] @ (w @ w[i]))
         if s_i <= 0:
             w[i] = 0.0
         else:
             w[i] *= 1.0 / (math.sqrt(n) * math.sqrt(sq[i]))
-    out = GramSolution.build(inst, w)
-    sq = out.squared_lengths()
+    sq = np.einsum("id,id->i", w, w)
     nz = sq[sq > 0]
     if nz.size and float(np.min(nz)) < floor - 1e-12:
         raise AssertionError("length floor violated after preprocessing")
-    if out.objective < obj_before - 1e-9 * (1.0 + abs(obj_before)):
+    obj_after = vector_objective(inst, w)
+    if obj_after < obj_before - 1e-9 * (1.0 + abs(obj_before)):
         raise AssertionError(
-            f"preprocessing decreased the objective sum: {obj_before} -> {out.objective}"
+            f"preprocessing decreased the objective sum: {obj_before} -> {obj_after}"
         )
-    return out
+    return w
 
 
-def cap_large(inst: QpRatioInstance, sol: GramSolution, rho: float) -> GramSolution:
-    """Zero every vector with squared length above 16 / n^rho."""
+def cap_large(inst: QpRatioInstance, w: np.ndarray, rho: float) -> np.ndarray:
+    """Zero every vector with squared length above 16 / n^rho; returns a new array."""
     thresh = 16.0 / (inst.n**rho)
-    w = np.array(sol.vectors, dtype=np.float64)
+    w = np.array(w, dtype=np.float64)
     sq = np.einsum("id,id->i", w, w)
     w[sq > thresh] = 0.0
-    return GramSolution.build(inst, w)
+    return w
 
 
 def _ratio(num: float, den: float) -> float:
@@ -79,11 +78,11 @@ def _ratio(num: float, den: float) -> float:
 
 def round_close_lengths(
     inst: QpRatioInstance,
-    sol: GramSolution,
+    w: np.ndarray,
     seed: int = 0,
     on_step=None,
 ) -> tuple[Assignment, RatioValue]:
-    """Round a solution whose nonzero vectors have comparable lengths.
+    """Round vectors (the rows of w) whose nonzero lengths are comparable.
 
     Stage 1 visits the vectors in index order and decides unit-vector vs zero
     by exact conditional expectations, keeping the expected-numerator to
@@ -95,7 +94,7 @@ def round_close_lengths(
     """
     n = inst.n
     base = trivial_solution(inst)
-    w = np.asarray(sol.vectors, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
     sq = np.einsum("id,id->i", w, w)
     nz = np.nonzero(sq > 0)[0]
     if nz.size == 0:
@@ -159,6 +158,17 @@ def round_close_lengths(
     return best
 
 
+def _relaxed_vectors(inst: QpRatioInstance, seed: int) -> np.ndarray | None:
+    """The relaxation's vectors after preprocess_small, or None when there
+    are no entries or the relaxation value is nonpositive."""
+    if not inst.entries:
+        return None
+    sol = sdp_solve(inst, seed=seed)
+    if sol.objective <= 0:
+        return None
+    return preprocess_small(inst, sol.vectors)
+
+
 def solve_general(inst: QpRatioInstance, seed: int = 0) -> tuple[Assignment, RatioValue]:
     """Full pipeline: relaxation, length normalization, per-band rounding.
 
@@ -166,17 +176,13 @@ def solve_general(inst: QpRatioInstance, seed: int = 0) -> tuple[Assignment, Rat
     and the single-edge baseline; skips rounding entirely when the relaxation
     value is nonpositive.
     """
-    base = trivial_solution(inst)
-    if not inst.entries:
-        return base
-    sol = sdp_solve(inst, seed=seed)
-    if sol.objective <= 0:
-        return base
-    sol = preprocess_small(inst, sol)
-    sol = cap_large(inst, sol, rho=1.0 / 3.0)
-    sq = sol.squared_lengths()
+    best = trivial_solution(inst)
+    w = _relaxed_vectors(inst, seed)
+    if w is None:
+        return best
+    w = cap_large(inst, w, rho=1.0 / 3.0)
+    sq = np.einsum("id,id->i", w, w)
     nz = sq[sq > 0]
-    best = base
     if nz.size == 0:
         return best
     tau = float(np.max(nz))
@@ -185,10 +191,8 @@ def solve_general(inst: QpRatioInstance, seed: int = 0) -> tuple[Assignment, Rat
     while tau > lo * (1 - 1e-12):
         mask = (sq > tau / 2.0) & (sq <= tau * (1 + 1e-12))
         if np.any(mask):
-            w = np.array(sol.vectors)
-            w[~mask] = 0.0
             cand = round_close_lengths(
-                inst, GramSolution.build(inst, w), seed=seed * 1000 + band
+                inst, np.where(mask[:, None], w, 0.0), seed=seed * 1000 + band
             )
             if cand[1].value > best[1].value:
                 best = cand
@@ -210,16 +214,12 @@ def solve_bipartite(inst: QpRatioInstance, seed: int = 0) -> tuple[Assignment, R
     if inst.bipartition is None:
         raise ValidationError("bipartite rounding needs an instance with a bipartition")
     base = trivial_solution(inst)
-    if not inst.entries:
+    w = _relaxed_vectors(inst, seed)
+    if w is None:
         return base
     n = inst.n
     left = np.array(inst.bipartition[0], dtype=np.int64)
     right = np.array(inst.bipartition[1], dtype=np.int64)
-    sol = sdp_solve(inst, seed=seed)
-    if sol.objective <= 0:
-        return base
-    sol = preprocess_small(inst, sol)
-    w = np.array(sol.vectors)
     sq = np.einsum("id,id->i", w, w)
     sl = float(np.sum(sq[left]))
     sr = float(np.sum(sq[right]))

@@ -7,7 +7,7 @@ import pytest
 from qpratio import spectral
 from qpratio.cli import main
 from qpratio.core import QpIntermediateInstance, load_instance, save_instance
-from qpratio.generators import gen_star
+from qpratio.generators import gen_star, random_instance
 
 
 @pytest.fixture()
@@ -209,6 +209,67 @@ class TestBench:
         assert statuses == [("general", "ok")] * 2 + [("trevisan", "error:ConvergenceError")] * 2
 
 
+def top_normalized_eigenvalue(inst):
+    """Top eigenvalue of D^{-1/2} A D^{-1/2} over the vertices of nonzero degree."""
+    a = inst.to_dense()
+    d = np.sum(np.abs(a), axis=1)
+    keep = d > 0
+    s = a[np.ix_(keep, keep)] / np.sqrt(np.outer(d[keep], d[keep]))
+    return float(np.linalg.eigvalsh(s)[-1])
+
+
+class TestBoundPastCap:
+    """Past the brute-force cap every printed bound is an eigenvalue bound."""
+
+    def test_bench_rows_carry_eig_bounds(self, tmp_path):
+        algos = ["general", "trevisan", "psd", "high-opt"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "seed": 1,
+                    "cap": 4,
+                    "algos": algos,
+                    "out_csv": str(tmp_path / "bench.csv"),
+                    "instances": [{"family": "star", "leaves": 5}, {"family": "random", "n": 6, "seed": 1}],
+                }
+            )
+        )
+        assert main(["bench", str(cfg)]) == 0
+        with open(tmp_path / "bench.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * len(algos)
+        insts = {"star-leaves5": gen_star(5), "random-n6-seed1": random_instance(6, 1)}
+        for r in rows:
+            inst = insts[r["instance_id"]]
+            if r["algo"] == "trevisan":
+                ref = top_normalized_eigenvalue(inst)
+            else:
+                ref = float(np.linalg.eigvalsh(inst.to_dense())[-1])
+            assert r["status"] == "ok" and r["bound_kind"] == "eig"
+            assert float(r["bound"]) == pytest.approx(ref, rel=0, abs=1e-9)
+            assert float(r["value"]) <= float(r["bound"]) + 1e-9
+
+    def test_solve_bipartite_on_gap(self, tmp_path, capsys):
+        path = tmp_path / "gap.json"
+        assert main(["gen", "bipartite-gap", "--n", "16", "--seed", "2", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["solve", str(path), "--algo", "bipartite"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        inst = load_instance(path)
+        assert len(rows) == 1 and rows[0]["algo"] == "bipartite" and rows[0]["bound_kind"] == "eig"
+        assert int(rows[0]["n"]) == inst.n == 20
+        lam = float(np.linalg.eigvalsh(inst.to_dense())[-1])
+        assert float(rows[0]["bound"]) == pytest.approx(lam, rel=0, abs=1e-9)
+        assert 0 < float(rows[0]["value"]) <= float(rows[0]["bound"])
+
+    def test_relax_normalized_eig(self, star_file, capsys):
+        assert main(["relax", star_file, "--method", "normalized-eig"]) == 0
+        inst = load_instance(star_file)
+        assert capsys.readouterr().out == f"normalized eig bound {spectral.normalized_eig_value(inst):.12g}\n"
+        assert spectral.normalized_eig_value(inst) == pytest.approx(top_normalized_eigenvalue(inst), abs=1e-9)
+
+
 EDGE = '{"kind": "qp_ratio", "n": 2, "entries": [[0, 1, 1.0]]}'
 
 
@@ -245,6 +306,15 @@ class TestBadInput:
             (["gen", "star", "--out", "out.json"], {}, "--leaves"),
             (["gen", "random", "--out", "out.json"], {}, "--n"),
             (["bench", "cfg.json"], {"cfg.json": "[]"}, "JSON object"),
+            (
+                ["solve", "in.json", "--algo", "bipartite"],
+                {"in.json": '{"kind": "qp_ratio", "n": 3, "entries": [[0, 1, 1.0]], "bipartition": [[0, 0], [1]]}'},
+                "index 0 appears twice",
+            ),
+            (["bench", "cfg.json"], {"cfg.json": '{"instances": [5]}'}, "instances item 0"),
+            (["bench", "cfg.json"], {"cfg.json": '{"cap": "x", "instances": []}'}, "'cap'"),
+            (["bench", "cfg.json"], {"cfg.json": '{"seed": "x", "instances": []}'}, "'seed'"),
+            (["bench", "cfg.json"], {"cfg.json": '{"algos": "general", "instances": []}'}, "'algos'"),
         ],
         ids=[
             "null-weight",
@@ -258,6 +328,11 @@ class TestBadInput:
             "star-without-leaves",
             "random-without-n",
             "bench-config-list",
+            "repeated-bipartition-index",
+            "bench-instance-not-object",
+            "bench-cap-not-integer",
+            "bench-seed-not-integer",
+            "bench-algos-not-list",
         ],
     )
     def test_exits_2(self, tmp_path, monkeypatch, capsys, argv, files, needle):

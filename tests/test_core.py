@@ -23,7 +23,7 @@ from qpratio.core import (
     restrict,
     trivial_solution,
 )
-from qpratio.generators import gen_star, random_instance
+from qpratio.generators import gen_bipartite_gap, gen_star, random_instance
 from qpratio.util import rng_for
 
 
@@ -132,6 +132,12 @@ class TestInstanceValidation:
     def test_bipartition_cross_check(self):
         with pytest.raises(ValidationError):
             QpRatioInstance(3, ((0, 1, 1.0),), bipartition=((0, 1), (2,)))
+
+    def test_repeated_bipartition_index_rejected(self):
+        with pytest.raises(ValidationError, match="index 0 appears twice"):
+            QpRatioInstance(3, ((0, 1, 1.0),), ((0, 0), (1,)))
+        with pytest.raises(ValidationError, match="index 2 appears twice"):
+            QpRatioInstance(3, ((0, 1, 1.0),), ((0,), (1, 2, 2)))
 
     def test_positive_diag_rejected(self):
         with pytest.raises(ValidationError):
@@ -267,3 +273,11 @@ class TestProperties:
         sub, kept = restrict(inst, [1, 2, 3])
         assert kept.tolist() == [1, 2, 3]
         assert sub.entries == ((0, 1, 2.0), (1, 2, 3.0))
+
+    def test_restrict_remaps_bipartition(self):
+        gap = gen_bipartite_gap(4, seed=3)  # left (0, 1), right (2, 3, 4, 5)
+        sub, kept = restrict(gap, [5, 1, 3])
+        assert kept.tolist() == [1, 3, 5]
+        assert sub.bipartition == ((0,), (1, 2))
+        weights = {(i, j): w for i, j, w in gap.entries}
+        assert sub.entries == ((0, 1, weights[(1, 3)]), (0, 2, weights[(1, 5)]))

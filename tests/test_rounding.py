@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from qpratio.core import Assignment, QpRatioInstance, eval_qp_ratio, trivial_solution
+from qpratio.core import Assignment, QpRatioInstance, eval_qp_ratio, trivial_solution, vector_objective
 from qpratio.exact import brute_force_qp_ratio
 from qpratio.generators import (
     gen_bipartite_gap,
@@ -17,7 +19,7 @@ from qpratio.rounding import (
     solve_bipartite,
     solve_general,
 )
-from qpratio.sdp import GramSolution, embed_assignment, sdp_solve
+from qpratio.sdp import embed_assignment, sdp_solve
 from qpratio.util import rng_for
 
 
@@ -27,49 +29,87 @@ def rank1_instance(z):
     return QpRatioInstance(n, entries)
 
 
+def squared_lengths(w):
+    return np.einsum("id,id->i", w, w)
+
+
+def rescan_preprocess(inst, w):
+    """Reference grow-or-drop pass: rescan all lengths after every change."""
+    n = inst.n
+    w = np.array(w, dtype=np.float64)
+    a = inst.to_dense()
+    floor = 1.0 / n
+    for _ in range(2 * n + 1):
+        sq = squared_lengths(w)
+        small = np.nonzero((sq > 0) & (sq < floor * (1 - 1e-12)))[0]
+        if small.size == 0:
+            break
+        i = int(small[0])
+        if float(a[i] @ (w @ w[i])) <= 0:
+            w[i] = 0.0
+        else:
+            w[i] *= 1.0 / (math.sqrt(n) * math.sqrt(sq[i]))
+    return w
+
+
 class TestPreprocessSmall:
     def test_identity_when_all_long(self):
         inst = QpRatioInstance(2, ((0, 1, 1.0),))
         sol = embed_assignment(inst, Assignment((1, 1)))
-        out = preprocess_small(inst, sol)
-        assert np.allclose(out.vectors, sol.vectors)
+        out = preprocess_small(inst, sol.vectors)
+        assert np.allclose(out, sol.vectors)
 
     def test_tiny_negative_crossterm_zeroed(self):
         inst = QpRatioInstance(2, ((0, 1, -1.0),))
         w = np.array([[1.0, 0.0], [0.1, 0.0]])  # cross-term of vector 1 is negative
-        out = preprocess_small(inst, GramSolution.build(inst, w))
-        assert out.squared_lengths()[1] == 0.0
+        out = preprocess_small(inst, w)
+        assert squared_lengths(out)[1] == 0.0
 
     def test_tiny_positive_crossterm_grown_to_floor(self):
         inst = QpRatioInstance(2, ((0, 1, 1.0),))
         w = np.array([[1.0, 0.0], [0.1, 0.0]])
-        out = preprocess_small(inst, GramSolution.build(inst, w))
-        assert out.squared_lengths()[1] == pytest.approx(0.5)  # 1/n with n=2
+        out = preprocess_small(inst, w)
+        assert squared_lengths(out)[1] == pytest.approx(0.5)  # 1/n with n=2
 
     def test_postconditions_on_sdp_output(self):
         for seed in range(5):
             inst = random_instance(8, seed=seed)
             sol = sdp_solve(inst, seed=seed)
-            out = preprocess_small(inst, sol)
-            sq = out.squared_lengths()
+            sq = squared_lengths(preprocess_small(inst, sol.vectors))
             nz = sq[sq > 0]
             if nz.size:
                 assert float(np.min(nz)) >= 1.0 / inst.n - 1e-12
             assert float(np.sum(sq)) <= 2.0 + 1e-9
+
+    def test_input_left_unchanged(self):
+        inst = QpRatioInstance(2, ((0, 1, 1.0),))
+        w = np.array([[1.0, 0.0], [0.1, 0.0]])
+        preprocess_small(inst, w)
+        assert w[1, 0] == 0.1
+
+    @pytest.mark.parametrize("n", [8, 20, 60])
+    def test_one_pass_matches_rescan(self, n):
+        shrunk = 0
+        for seed in range(3):
+            inst = random_instance(n, seed=seed, density=0.3)
+            w = sdp_solve(inst, seed=seed).vectors
+            sq = squared_lengths(w)
+            shrunk += int(np.sum((sq > 0) & (sq < 1.0 / n)))
+            assert np.array_equal(preprocess_small(inst, w), rescan_preprocess(inst, w))
+        assert shrunk > 0, "no vector below the floor: the pass was never exercised"
 
 
 class TestCapLarge:
     def test_identity_when_no_large(self):
         inst = QpRatioInstance(4, ((0, 1, 1.0),))
         w = np.full((4, 1), 0.5)
-        out = cap_large(inst, GramSolution.build(inst, w), rho=1.0 / 3.0)
-        assert np.allclose(out.vectors, w)
+        out = cap_large(inst, w, rho=1.0 / 3.0)
+        assert np.allclose(out, w)
 
     def test_large_vector_removed_others_kept(self):
         inst = QpRatioInstance(3, ((0, 1, 1.0),))
         w = np.array([[10.0], [0.1], [0.1]])
-        out = cap_large(inst, GramSolution.build(inst, w), rho=1.0)
-        sq = out.squared_lengths()
+        sq = squared_lengths(cap_large(inst, w, rho=1.0))
         assert sq[0] == 0.0
         assert sq[1] > 0 and sq[2] > 0
 
@@ -77,10 +117,9 @@ class TestCapLarge:
         # small vectors carry all the objective; dropping the big one keeps it
         inst = QpRatioInstance(3, ((1, 2, 1.0),))
         w = np.array([[10.0, 0.0], [0.4, 0.0], [0.4, 0.0]])
-        before = GramSolution.build(inst, w)
-        after = cap_large(inst, before, rho=1.0)
-        assert after.objective == pytest.approx(before.objective)
-        assert float(np.max(after.squared_lengths())) < 16.0 / 3.0
+        after = cap_large(inst, w, rho=1.0)
+        assert vector_objective(inst, after) == pytest.approx(vector_objective(inst, w))
+        assert float(np.max(squared_lengths(after))) < 16.0 / 3.0
 
 
 class TestRoundCloseLengths:
@@ -89,20 +128,20 @@ class TestRoundCloseLengths:
         inst = rank1_instance(z)
         planted = Assignment(tuple(z))
         sol = embed_assignment(inst, planted)
-        a, v = round_close_lengths(inst, sol, seed=0)
+        a, v = round_close_lengths(inst, sol.vectors, seed=0)
         assert v.value == pytest.approx(eval_qp_ratio(inst, planted).value)
 
     def test_single_edge_exact(self):
         inst = QpRatioInstance(2, ((0, 1, 1.0),))
         sol = embed_assignment(inst, Assignment((1, 1)))
-        _, v = round_close_lengths(inst, sol, seed=1)
+        _, v = round_close_lengths(inst, sol.vectors, seed=1)
         assert v.value == 1.0
 
     def test_stage_one_ratio_monotone(self):
         trace = []
         inst = random_instance(8, seed=5)
         sol = sdp_solve(inst, seed=5)
-        round_close_lengths(inst, sol, seed=2, on_step=lambda i, r: trace.append(r))
+        round_close_lengths(inst, sol.vectors, seed=2, on_step=lambda i, r: trace.append(r))
         assert trace, "stage one never ran"
         for prev, cur in zip(trace, trace[1:]):
             assert cur >= prev - 1e-9 * (1 + abs(prev))
@@ -111,7 +150,7 @@ class TestRoundCloseLengths:
         for seed in range(5):
             inst = random_instance(7, seed=seed + 30)
             sol = sdp_solve(inst, seed=seed)
-            _, v = round_close_lengths(inst, sol, seed=seed)
+            _, v = round_close_lengths(inst, sol.vectors, seed=seed)
             assert v.value >= trivial_solution(inst)[1].value - 1e-12
 
 
