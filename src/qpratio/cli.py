@@ -403,15 +403,21 @@ def cmd_bench(args) -> int:
     for k, item in enumerate(instances):
         if not isinstance(item, dict):
             raise ParseError(f"{args.config}: instances item {k} must be a JSON object")
+        try:
+            int(item.get("seed", seed))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"{args.config}: instances item {k} 'seed' must be an integer") from exc
+    out_csv = cfg.get("out_csv", "bench.csv")
+    out_svg = cfg.get("out_svg")
+    if not isinstance(out_csv, str) or not (out_svg is None or isinstance(out_svg, str)):
+        raise ParseError(f"{args.config}: 'out_csv' and 'out_svg' must be file names")
     rows = [r for it in instances for r in _bench_one(it, algos, cap, seed)]
     rows.sort(key=lambda r: (r["instance_id"], r["algo"]))
-    out_csv = cfg.get("out_csv", "bench.csv")
     with open(out_csv, "w", newline="") as fh:
         out = _csv_writer(fh)
         out.writeheader()
         out.writerows(rows)
     print(f"wrote {out_csv} ({len(rows)} rows)")
-    out_svg = cfg.get("out_svg")
     if out_svg:
         with open(out_svg, "w") as fh:
             fh.write(_render_svg(rows))

@@ -190,7 +190,7 @@ def grid_search_intermediate(
     n = inst.n
     if n > cap:
         raise BudgetExceeded(f"grid search refused: n={n} exceeds cap={cap}")
-    if eps <= 0:
+    if not eps > 0:
         raise ValidationError(f"accuracy must be positive, got {eps}")
     norm1 = inst.norm1()
     delta = 1.0 / (2 * n)
@@ -215,7 +215,7 @@ def grid_search_intermediate(
         for i, j, w in inst.entries:
             num += (2.0 * w) * rows[:, i] * rows[:, j]
         den = np.sum(np.abs(rows), axis=1)
-        vals = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+        vals = _ratios(num, den)
         k = int(np.argmax(vals))
         if best is None or vals[k] > best[0]:
             best = (vals[k], rows[k], num[k], den[k])
@@ -266,5 +266,5 @@ def brute_force_weighted_bipartite(matrix, left_weight: int, cap: int = 12) -> f
     ys = _assignment_grid(nr).astype(np.float64)
     inner = xs @ a @ ys.T
     den = left_weight * np.sum(np.abs(xs), axis=1)[:, None] + np.sum(np.abs(ys), axis=1)[None, :]
-    vals = np.divide(2.0 * inner, den, out=np.zeros_like(inner), where=den > 0)
+    vals = _ratios(2.0 * inner, den)
     return float(np.max(vals))

@@ -277,7 +277,7 @@ def kand_to_qpratio(inst: KAndInstance, alpha: float) -> tuple[QpRatioInstance, 
     (taking w identical copies matches values, and the mediant bound on the
     chunks gives the converse).
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValidationError(f"alpha must be positive, got {alpha}")
     w = round(1.0 / alpha)
     if w < 1 or abs(1.0 / alpha - w) > 1e-9:
@@ -584,17 +584,14 @@ def ug_to_intermediate(ug: UgInstance) -> tuple[QpIntermediateInstance, UgMappin
         mat[u * size : (u + 1) * size, u * size : (u + 1) * size] -= eta * vertex_scale * lam
 
     diag = np.diag(mat)
-    entries = []
-    for i in range(n_vars):
-        for j in range(i + 1, n_vars):
-            if mat[i, j] != 0.0:
-                entries.append((i, j, float(mat[i, j])))
+    ii, jj = np.nonzero(np.triu(mat, 1))  # row-major, i < j
+    entries = tuple(zip(ii.tolist(), jj.tolist(), mat[ii, jj].tolist()))
     meta = {
         "family": "ug_reduction",
         "params": {"vertices": nv, "alphabet": r, "eta": eta, "edges": len(ug.edges)},
         "scaling": "matrix times n_vars; ratio equals (E T - eta E L) / E l1",
     }
-    inst = QpIntermediateInstance(n_vars, tuple(entries), tuple(float(v) for v in diag), meta)
+    inst = QpIntermediateInstance(n_vars, entries, tuple(float(v) for v in diag), meta)
     return inst, UgMapping(nv, r, eta)
 
 
@@ -605,7 +602,7 @@ def intermediate_to_qpratio(inst: QpIntermediateInstance, eps: float) -> tuple[Q
     weight A_ik / m so the plain ratio of the image matches the source
     objective within eps on both sides.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValidationError(f"eps must be positive, got {eps}")
     n = inst.n
     norm1 = inst.norm1()

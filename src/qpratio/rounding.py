@@ -4,8 +4,10 @@ The general pipeline normalizes vector lengths in three passes (grow-or-drop
 tiny vectors, drop overlong vectors, split the survivors into dyadic length
 bands) and rounds each band with a two-stage scheme: derandomized selection by
 conditional expectations, then Gaussian-projection sign rounding on the
-selected unit vectors.  Bipartite instances get a dedicated level-pair
-routine built on sampled sign patterns for the smaller side.
+selected unit vectors.  Grow-or-drop and selection scale whole rows, so both
+keep one factor per row and read each decision off M = A o (W W^T).
+Bipartite instances get a dedicated level-pair routine built on sampled sign
+patterns for the smaller side.
 """
 
 from __future__ import annotations
@@ -35,20 +37,22 @@ def preprocess_small(inst: QpRatioInstance, w: np.ndarray) -> np.ndarray:
     operation decreases the objective sum, and the total squared length stays
     at most 2 when starting from a unit-sum solution.  Changing one vector
     leaves every other length as it was, so the initially small vectors are
-    visited once, in index order.
+    visited once, in index order; row i becomes f_i w_i and S_i = M[i] . f.
     """
     n = inst.n
     w = np.array(w, dtype=np.float64)
-    a = inst.to_dense()
     obj_before = vector_objective(inst, w)
     floor = 1.0 / n
     sq = np.einsum("id,id->i", w, w)
+    m = inst.to_dense() * (w @ w.T)  # m_ij = a_ij <w_i, w_j>
+    f = np.ones(n)
     for i in np.nonzero((sq > 0) & (sq < floor * (1 - 1e-12)))[0]:
-        s_i = float(a[i] @ (w @ w[i]))
-        if s_i <= 0:
-            w[i] = 0.0
+        if m[i] @ f <= 0:
+            f[i] = 0.0
         else:
-            w[i] *= 1.0 / (math.sqrt(n) * math.sqrt(sq[i]))
+            f[i] = 1.0 / (math.sqrt(n) * math.sqrt(sq[i]))
+    w[f == 0] = 0.0  # zeroed before scaling, so no entry becomes -0.0
+    w *= f[:, None]
     sq = np.einsum("id,id->i", w, w)
     nz = sq[sq > 0]
     if nz.size and float(np.min(nz)) < floor - 1e-12:
@@ -76,21 +80,18 @@ def _ratio(num: float, den: float) -> float:
     return -math.inf if num < 0 else (0.0 if num == 0 else math.inf)
 
 
-def round_close_lengths(
-    inst: QpRatioInstance,
-    w: np.ndarray,
-    seed: int = 0,
-    on_step=None,
-) -> tuple[Assignment, RatioValue]:
+def round_close_lengths(inst: QpRatioInstance, w: np.ndarray, seed: int = 0) -> tuple[Assignment, RatioValue]:
     """Round vectors (the rows of w) whose nonzero lengths are comparable.
 
     Stage 1 visits the vectors in index order and decides unit-vector vs zero
     by exact conditional expectations, keeping the expected-numerator to
-    expected-denominator ratio non-decreasing (asserted at every step;
-    `on_step(i, ratio)` observes the trace).  Stage 2 projects the selected
-    unit vectors on a Gaussian, scales by T = 2 sqrt(ln n), and rounds each
-    coordinate to its sign with probability |z_i|, keeping the best of
-    ceil(8 ln n) + 8 trials.  Never returns less than the single-edge baseline.
+    expected-denominator ratio non-decreasing (asserted at every step).  With
+    the longest vector scaled to length 1, row i stands at f_i w_i: f_i = 1
+    undecided, 1/p_i picked (p_i its length), 0 dropped; a visit reads only
+    M[i] . f.  Stage 2 projects the selected unit vectors on a Gaussian,
+    scales by T = 2 sqrt(ln n), and rounds each coordinate to its sign with
+    probability |z_i|, keeping the best of ceil(8 ln n) + 8 trials.  Never
+    returns less than the single-edge baseline.
     """
     n = inst.n
     base = trivial_solution(inst)
@@ -103,45 +104,38 @@ def round_close_lengths(
     ws = w / math.sqrt(tau)
     p = np.sqrt(np.einsum("id,id->i", ws, ws))
     p = np.clip(p, 0.0, 1.0)
-    units = np.zeros_like(ws)
-    units[nz] = ws[nz] / p[nz, None]
 
-    a = inst.to_dense()
-    mu = ws.copy()  # undecided rows stay at p_i * unit_i
+    m = inst.to_dense() * (ws @ ws.T)
+    f = np.ones(n)  # every row starts undecided
     den = float(np.sum(p[nz]))
-    num = float(np.sum(a * (mu @ mu.T)))
+    num = float(np.sum(m))
     ratio = _ratio(num, den)
     if not ratio > 0:
         return base
-    selected = np.zeros(n, dtype=bool)
     for i in nz:
-        c = a[i] @ (mu @ mu[i])  # cross term of the current row against the rest
-        num_drop = num - 2.0 * float(c)
+        s = float(m[i] @ f)  # cross term of the undecided row against the rest
+        num_drop = num - 2.0 * s
         den_drop = den - p[i]
-        c_unit = a[i] @ (mu @ units[i])
-        num_pick = num + 2.0 * float(c_unit - c)
+        num_pick = num + 2.0 * s * (1.0 / p[i] - 1.0)
         den_pick = den - p[i] + 1.0
         r_pick = _ratio(num_pick, den_pick)
         r_drop = _ratio(num_drop, den_drop)
         if r_pick >= r_drop:
-            mu[i] = units[i]
-            selected[i] = True
+            f[i] = 1.0 / p[i]
             num, den, new_ratio = num_pick, den_pick, r_pick
         else:
-            mu[i] = 0.0
+            f[i] = 0.0
             num, den, new_ratio = num_drop, den_drop, r_drop
         if new_ratio < ratio - 1e-9 * (1.0 + abs(ratio)):
             raise AssertionError(
                 f"conditional-expectation ratio decreased at step {i}: {ratio} -> {new_ratio}"
             )
         ratio = new_ratio
-        if on_step is not None:
-            on_step(int(i), ratio)
 
-    chosen = np.nonzero(selected)[0]
+    chosen = nz[f[nz] > 0]
     if chosen.size == 0:
         return base
-    wsel = units[chosen]
+    wsel = ws[chosen] / p[chosen, None]
     t_scale = 2.0 * math.sqrt(math.log(max(n, 2)))
     rng = rng_for(seed, 0xC1)
     best = base

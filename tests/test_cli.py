@@ -271,6 +271,7 @@ class TestBoundPastCap:
 
 
 EDGE = '{"kind": "qp_ratio", "n": 2, "entries": [[0, 1, 1.0]]}'
+INTERMEDIATE = '{"kind": "qp_intermediate", "n": 2, "entries": [[0, 1, 1.0]], "diag": [0.0, -0.5]}'
 
 
 class TestBadInput:
@@ -315,6 +316,24 @@ class TestBadInput:
             (["bench", "cfg.json"], {"cfg.json": '{"cap": "x", "instances": []}'}, "'cap'"),
             (["bench", "cfg.json"], {"cfg.json": '{"seed": "x", "instances": []}'}, "'seed'"),
             (["bench", "cfg.json"], {"cfg.json": '{"algos": "general", "instances": []}'}, "'algos'"),
+            (
+                ["bench", "cfg.json"],
+                {"cfg.json": '{"instances": [{"family": "star", "leaves": 3, "seed": "x"}]}'},
+                "item 0 'seed'",
+            ),
+            (["bench", "cfg.json"], {"cfg.json": '{"out_csv": 7, "instances": []}'}, "'out_csv'"),
+            (["bench", "cfg.json"], {"cfg.json": '{"out_svg": ["x"], "instances": []}'}, "'out_svg'"),
+            (
+                ["reduce", "k.json", "--from", "kand", "--alpha", "nan", "--out", "out.json"],
+                {"k.json": '{"kind": "kand", "n": 4, "k": 2, "clauses": [[[0, 1], [2, -1]], [[1, -1], [3, 1]]]}'},
+                "alpha must be positive",
+            ),
+            (
+                ["reduce", "i.json", "--from", "intermediate", "--eps", "nan", "--out", "out.json"],
+                {"i.json": INTERMEDIATE},
+                "eps must be positive",
+            ),
+            (["exact", "i.json", "--grid-eps", "nan"], {"i.json": INTERMEDIATE}, "accuracy must be positive"),
         ],
         ids=[
             "null-weight",
@@ -333,6 +352,12 @@ class TestBadInput:
             "bench-cap-not-integer",
             "bench-seed-not-integer",
             "bench-algos-not-list",
+            "bench-item-seed-not-integer",
+            "bench-out-csv-not-string",
+            "bench-out-svg-not-string",
+            "reduce-kand-alpha-nan",
+            "reduce-intermediate-eps-nan",
+            "exact-grid-eps-nan",
         ],
     )
     def test_exits_2(self, tmp_path, monkeypatch, capsys, argv, files, needle):
