@@ -141,11 +141,9 @@ def _run_algo(inst: core.QpRatioInstance, algo: str, seed: int, eps: float):
     if algo == "psd":
         if not inst.entries:
             return core.trivial_solution(inst)
-        dense = inst.to_dense()
-        res = spectral.eigen_max(dense, seed=seed)
+        res = spectral.eigen_max(inst.to_dense(), seed=seed)
         # canonical PSD completion: lift the diagonal by |min eigenvalue|
-        min_eig = float(np.linalg.eigvalsh(dense)[0])
-        shift = max(0.0, -min_eig) * (1.0 + 1e-9) + 1e-12
+        shift = max(0.0, -res.lambda_min) * (1.0 + 1e-9) + 1e-12
         diag = np.full(inst.n, shift)
         return spectral.psd_polylog_round(inst, res.vector, diag=diag, seed=seed)
     if algo == "high-opt":
@@ -333,7 +331,7 @@ def _bench_one(item, algos, cap, seed):
             nb, nk = (bound, bound_kind)
             if algo == "trevisan":
                 nb, nk = _bound_for(inst, cap, normalized=True)
-            a, val = _run_algo(inst, algo, int(item.get("seed", seed)), eps=0.25)
+            a, val = _run_algo(inst, algo, item.get("seed", seed), eps=0.25)
             rows.append(
                 _result_row(iid, family, inst.n, item.get("seed", seed), algo, val.value, nb, nk, a.support, "", "ok")
             )
@@ -389,24 +387,24 @@ def _render_svg(rows: list[dict]) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def cmd_bench(args) -> int:
     cfg = _load_json_object(args.config)
     algos = cfg.get("algos", ["general"])
     if not (isinstance(algos, list) and all(isinstance(x, str) for x in algos)):
         raise ParseError(f"{args.config}: 'algos' must be a list of algorithm names")
-    try:
-        cap = int(cfg.get("cap", 12))
-        seed = int(cfg.get("seed", 0))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{args.config}: 'cap' and 'seed' must be integers") from exc
+    cap, seed = cfg.get("cap", 12), cfg.get("seed", 0)
+    if not (_is_int(cap) and _is_int(seed)):
+        raise ParseError(f"{args.config}: 'cap' and 'seed' must be integers")
     instances = core._require(cfg, "instances", list, args.config)
     for k, item in enumerate(instances):
         if not isinstance(item, dict):
             raise ParseError(f"{args.config}: instances item {k} must be a JSON object")
-        try:
-            int(item.get("seed", seed))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"{args.config}: instances item {k} 'seed' must be an integer") from exc
+        if not _is_int(item.get("seed", seed)):
+            raise ParseError(f"{args.config}: instances item {k} 'seed' must be an integer")
     out_csv = cfg.get("out_csv", "bench.csv")
     out_svg = cfg.get("out_svg")
     if not isinstance(out_csv, str) or not (out_svg is None or isinstance(out_svg, str)):

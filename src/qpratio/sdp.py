@@ -52,9 +52,6 @@ class GramSolution:
         pair = float(max(0.0, np.max(viol))) if inst.n > 1 else 0.0
         return cls(w, objective, norm1, pair)
 
-    def squared_lengths(self) -> np.ndarray:
-        return np.einsum("id,id->i", self.vectors, self.vectors)
-
 
 def embed_assignment(inst: QpRatioInstance, a, dim: int = 2) -> GramSolution:
     """Rank-1 embedding w_i = (x_i / sqrt(k)) e_1 for a support-k assignment.

@@ -41,6 +41,7 @@ class EigenResult:
     vector: np.ndarray
     iterations: int
     residual: float
+    lambda_min: float
 
 
 def eigen_max(matrix, tol: float = 1e-10, seed: int = 0) -> EigenResult:
@@ -51,6 +52,7 @@ def eigen_max(matrix, tol: float = 1e-10, seed: int = 0) -> EigenResult:
     power iteration from that start converges to, so a repeated top
     eigenvalue gives the same seed-dependent vector.  The returned residual is
     ||A v - lambda v||_2; a residual above tol raises with that residual.
+    The smallest eigenvalue comes from the same eigh.
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -69,7 +71,7 @@ def eigen_max(matrix, tol: float = 1e-10, seed: int = 0) -> EigenResult:
     res = float(np.linalg.norm(a @ v - lam * v))
     if res > tol:
         raise ConvergenceError(f"eigh residual {res:.3e} is above tol={tol}", res)
-    return EigenResult(lam, v, 1, res)
+    return EigenResult(lam, v, 1, res, float(w[0]))
 
 
 def eig_relaxation_value(inst: QpRatioInstance, seed: int = 0) -> float:

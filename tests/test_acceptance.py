@@ -87,7 +87,7 @@ def test_criterion_02_gap_certificate():
         ok, report = sdp_feasibility(cert, tol=1e-12)
         assert ok, report
         assert cert.objective == pytest.approx(math.sqrt(n), abs=1e-9)
-        sq = cert.squared_lengths()
+        sq = np.einsum("id,id->i", cert.vectors, cert.vectors)
         s = math.isqrt(n)
         assert np.allclose(sq[s:], 1.0 / (2 * n), atol=1e-15)
         assert abs(float(np.sum(sq)) - 1.0) <= 1e-12

@@ -334,6 +334,24 @@ class TestBadInput:
                 "eps must be positive",
             ),
             (["exact", "i.json", "--grid-eps", "nan"], {"i.json": INTERMEDIATE}, "accuracy must be positive"),
+            (
+                ["bench", "cfg.json"],
+                {"cfg.json": '{"instances": [{"family": "random", "n": 6, "seed": 1.5}]}'},
+                "item 0 'seed'",
+            ),
+            (
+                ["bench", "cfg.json"],
+                {"cfg.json": '{"instances": [{"family": "random", "n": 6, "seed": true}]}'},
+                "item 0 'seed'",
+            ),
+            (["bench", "cfg.json"], {"cfg.json": '{"seed": 2.9, "instances": []}'}, "'seed'"),
+            (["bench", "cfg.json"], {"cfg.json": '{"cap": 10.5, "instances": []}'}, "'cap'"),
+            (["gen", "kand", "--n", "6", "--m", "0", "--k", "3", "--out", "k.json"], {}, "at least one clause"),
+            (
+                ["reduce", "k.json", "--from", "kand", "--alpha", "0.5", "--out", "out.json"],
+                {"k.json": '{"kind": "kand", "n": 6, "k": 3, "clauses": []}'},
+                "at least one clause",
+            ),
         ],
         ids=[
             "null-weight",
@@ -358,6 +376,12 @@ class TestBadInput:
             "reduce-kand-alpha-nan",
             "reduce-intermediate-eps-nan",
             "exact-grid-eps-nan",
+            "bench-item-seed-fractional",
+            "bench-item-seed-bool",
+            "bench-seed-fractional",
+            "bench-cap-fractional",
+            "gen-kand-zero-clauses",
+            "reduce-kand-zero-clauses",
         ],
     )
     def test_exits_2(self, tmp_path, monkeypatch, capsys, argv, files, needle):

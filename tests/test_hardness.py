@@ -1,7 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from qpratio.core import QpIntermediateInstance, QpRatioInstance, eval_qp_intermediate
+from qpratio.core import QpIntermediateInstance, QpRatioInstance, ValidationError, eval_qp_intermediate
 from qpratio.exact import (
     BudgetExceeded,
     brute_force_qp_ratio,
@@ -111,6 +114,11 @@ class TestKAnd:
         assert all(len(c) == 3 for c in inst.clauses)
         assert inst.clauses == gen_kand(10, 20, 3, seed=4).clauses
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_zero_clauses_rejected(self, m):
+        with pytest.raises(ValidationError, match="at least one clause"):
+            gen_kand(6, m, 3, seed=1)
+
     def test_planted_fraction_exact(self):
         z = [1, -1] * 6
         inst = gen_kand(12, 40, 4, seed=1, planted=z, alpha=0.25)
@@ -165,7 +173,7 @@ class TestKandReduction:
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceeded, match="4097 variables, cap is 4096"):
-            kand_to_qpratio(KAndInstance(4097, 1, ()), 1.0)
+            kand_to_qpratio(KAndInstance(4096, 1, (((0, 1),),)), 1.0)
 
 
 class TestConcentration:
@@ -187,6 +195,24 @@ class TestConcentration:
         assert rep.max_fraction in (0.0, 1.0)
 
 
+def enumerate_expansion(inst, alpha, t_max=None, s_max=None):
+    """Reference: (vacuous, pairs, worst ratio, holds) by visiting every (S, T) pair."""
+    n, m, k = inst.n, inst.m, inst.k
+    tm = t_max if t_max is not None else int(math.floor(n * alpha / 400.0))
+    adj = [{v for v, _ in clause} for clause in inst.clauses]
+    worst, checked = 0.0, 0
+    for t_size in range(1, tm + 1):
+        sl = s_max if s_max is not None else int(math.floor(alpha * t_size))
+        for t_set in itertools.combinations(range(n), t_size):
+            ts = set(t_set)
+            weights = [len(adj[j] & ts) for j in range(m)]
+            for s_size in range(1, sl + 1):
+                for s_set in itertools.combinations(range(m), s_size):
+                    worst = max(worst, sum(weights[j] for j in s_set) / s_size)
+                    checked += 1
+    return checked == 0, checked, worst, worst <= math.sqrt(k) + 1e-12
+
+
 class TestExpansion:
     def test_vacuous_at_small_alpha(self):
         inst = gen_kand(10, 30, 3, seed=2)
@@ -197,15 +223,29 @@ class TestExpansion:
     def test_exhaustive_probe_bounded_by_degree(self):
         inst = gen_kand(6, 5, 3, seed=7)
         rep = check_expansion(inst, alpha=1.0, t_max=2, s_max=2)
-        assert rep.mode == "exhaustive"
+        assert rep.mode == "exact"
         assert rep.pairs_checked > 0
         assert rep.worst_ratio <= inst.k
 
-    def test_sampled_probe(self):
+    def test_large_probe_exact_value(self):
         inst = gen_kand(14, 40, 4, seed=9)
-        rep = check_expansion(inst, alpha=1.0, t_max=8, s_max=10, budget=1000)
-        assert rep.mode == "sampled"
-        assert rep.worst_ratio <= inst.k
+        rep = check_expansion(inst, alpha=1.0, t_max=8, s_max=10)
+        assert rep.mode == "exact"
+        assert rep.worst_ratio == 4.0
+        assert not rep.holds
+
+    def test_t_max_above_n(self):
+        rep = check_expansion(gen_kand(6, 5, 3, seed=1), alpha=1.0, t_max=8, s_max=1)
+        assert (rep.mode, rep.pairs_checked, rep.worst_ratio) == ("exact", 315, 3.0)
+
+    def test_matches_enumeration(self):
+        # t_max = 7 exceeds n; t_max = 0, s_max = 0 and alpha = 0.3 at small |T| are vacuous
+        insts = [gen_kand(n, m, k, seed=n + m) for n, k, m in itertools.product((4, 5), (1, 2, 4), (1, 3, 4))]
+        grid = itertools.product(insts, (None, 0, 1, 2, 7), (None, 0, 1, 2, 7), (0.3, 1.0, 500.0))
+        for inst, t_max, s_max, alpha in grid:
+            rep = check_expansion(inst, alpha, t_max=t_max, s_max=s_max)
+            got = (rep.mode == "vacuous", rep.pairs_checked, rep.worst_ratio, rep.holds)
+            assert got == enumerate_expansion(inst, alpha, t_max, s_max), (inst, t_max, s_max, alpha)
 
 
 class TestRatioUg:

@@ -70,6 +70,14 @@ class TestEigenMax:
         for m in mats:
             assert abs(eigen_max(m).lambda_max - np.linalg.eigvalsh(m)[-1]) <= 1e-12
 
+    def test_lambda_min_matches_eigvalsh(self):
+        rng = rng_for(14)
+        mats = [(b + b.T) / 2.0 for b in (rng.uniform(-1, 1, (n, n)) for n in (1, 2, 7, 40, 120))]
+        mats += [gen_level_graph(LevelGraphParams(eps=0.5)).to_dense(), gen_star(9).to_dense()]
+        for m in mats:
+            scale = float(np.max(np.abs(m)))
+            assert abs(eigen_max(m).lambda_min - np.linalg.eigvalsh(m)[0]) <= 1e-12 * scale
+
     def test_repeated_top_eigenvalue_keeps_seeded_direction(self):
         # every vector of the top eigenspace is an eigenvector; the seed picks
         # the one a power iteration from the seeded start converges to
