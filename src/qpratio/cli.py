@@ -55,11 +55,26 @@ def _load_ratio_instance(path) -> core.QpRatioInstance:
 # gen
 # ---------------------------------------------------------------------------
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _param(spec: dict, key: str, typ):
-    """spec[key] converted by typ; a missing value names the `gen` flag that sets it."""
-    if spec.get(key) is None:
+    """spec[key] converted by typ; a missing value names the `gen` flag that sets it.
+
+    An int parameter must already be an integer: int() would run 6.5 as 6
+    and true as 1.
+    """
+    value = spec.get(key)
+    if value is None:
         raise ValidationError(f"family {spec.get('family')!r} needs --{key.replace('_', '-')}")
-    return typ(spec[key])
+    if typ is int and not _is_int(value):
+        raise ValidationError(f"family {spec.get('family')!r}: {key} must be an integer, got {value!r}")
+    return typ(value)
+
+
+def _int_or(spec: dict, key: str, default: int) -> int:
+    return _param(spec, key, int) if key in spec else default
 
 
 def _gen_instance(spec: dict) -> core.QpRatioInstance:
@@ -67,7 +82,7 @@ def _gen_instance(spec: dict) -> core.QpRatioInstance:
     if family == "star":
         return generators.gen_star(_param(spec, "leaves", int))
     if family == "bipartite-gap":
-        return generators.gen_bipartite_gap(_param(spec, "n", int), int(spec.get("seed", 0)))
+        return generators.gen_bipartite_gap(_param(spec, "n", int), _int_or(spec, "seed", 0))
     if family == "planted":
         params = generators.PlantedParams(
             n=_param(spec, "n", int),
@@ -75,20 +90,20 @@ def _gen_instance(spec: dict) -> core.QpRatioInstance:
             p=spec.get("p"),
             planted_size=spec.get("planted_size"),
             delta=float(spec.get("delta", 0.1)),
-            seed=int(spec.get("seed", 0)),
+            seed=_int_or(spec, "seed", 0),
         )
         return generators.gen_planted(params)[0]
     if family == "level-graph":
         return generators.gen_level_graph(
-            generators.LevelGraphParams(eps=_param(spec, "eps", float), n0=int(spec.get("n0", 1)))
+            generators.LevelGraphParams(eps=_param(spec, "eps", float), n0=_int_or(spec, "n0", 1))
         )
     if family == "random":
         return generators.random_instance(
-            _param(spec, "n", int), int(spec.get("seed", 0)), float(spec.get("density", 1.0))
+            _param(spec, "n", int), _int_or(spec, "seed", 0), float(spec.get("density", 1.0))
         )
     if family == "apx-gadget":
         if "cycle" in spec and spec["cycle"]:
-            n = int(spec["cycle"])
+            n = _param(spec, "cycle", int)
             edges = [(i, (i + 1) % n) for i in range(n)] if n > 2 else []
             d = 2 if n > 2 else 0
         else:
@@ -385,10 +400,6 @@ def _render_svg(rows: list[dict]) -> str:
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def cmd_bench(args) -> int:

@@ -23,7 +23,6 @@ from .core import (
     ValidationError,
     eval_qp_ratio,
     trivial_solution,
-    vector_objective,
 )
 from .sdp import sdp_solve
 from .util import rng_for
@@ -41,10 +40,11 @@ def preprocess_small(inst: QpRatioInstance, w: np.ndarray) -> np.ndarray:
     """
     n = inst.n
     w = np.array(w, dtype=np.float64)
-    obj_before = vector_objective(inst, w)
     floor = 1.0 / n
     sq = np.einsum("id,id->i", w, w)
-    m = inst.to_dense() * (w @ w.T)  # m_ij = a_ij <w_i, w_j>
+    a = inst.to_dense()
+    m = a * (w @ w.T)  # m_ij = a_ij <w_i, w_j>
+    obj_before = float(np.sum(m))
     f = np.ones(n)
     for i in np.nonzero((sq > 0) & (sq < floor * (1 - 1e-12)))[0]:
         if m[i] @ f <= 0:
@@ -57,7 +57,7 @@ def preprocess_small(inst: QpRatioInstance, w: np.ndarray) -> np.ndarray:
     nz = sq[sq > 0]
     if nz.size and float(np.min(nz)) < floor - 1e-12:
         raise AssertionError("length floor violated after preprocessing")
-    obj_after = vector_objective(inst, w)
+    obj_after = float(np.sum(a * (w @ w.T)))
     if obj_after < obj_before - 1e-9 * (1.0 + abs(obj_before)):
         raise AssertionError(
             f"preprocessing decreased the objective sum: {obj_before} -> {obj_after}"

@@ -5,12 +5,12 @@ and |<w_i, w_j>| <= w_i^2 for all pairs, which pushes nonzero vectors toward
 equal lengths.  The solver is a low-rank factorization ascent with soft pair
 penalties that advances all restarts as one stacked iterate; for s >= 0 the
 penalty gradient uses sign(g) max(0, |g| - s) = g - clip(g, -s, s).  The
-penalty climbs a ladder of 8 short phases (75 steps each, weight
-0.25 * 4^k * max(1, max|a_ij|)), so it ends high enough that repairing
-the last phases to exact feasibility costs little objective.  Every
-integer assignment embeds exactly feasibly, so the returned objective is
-never below the best warm start.  No optimality certificate is
-produced or needed downstream.
+penalty climbs a ladder of 8 short phases (40 heavy-ball steps each,
+weight 0.25 * 4^k * max(1, max|a_ij|)), so it ends high enough that
+repairing the last phases to exact feasibility costs little objective.
+Every integer assignment embeds exactly feasibly, so the returned
+objective is never below the best warm start.  No optimality certificate
+is produced or needed downstream.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .core import Assignment, QpRatioInstance, ValidationError, trivial_solution
 from .util import rng_for
 
 # steps per penalty phase of the ascent
-_PHASE_STEPS = 75
+_PHASE_STEPS = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,15 +120,20 @@ def _penalized_grad(
 
 
 def _ascend_stack(a: np.ndarray, w0: np.ndarray, iters: int) -> list[np.ndarray | None]:
-    """Normalized-gradient ascent with an escalating pair-constraint penalty.
+    """Normalized-gradient ascent with heavy-ball momentum and an escalating
+    pair-constraint penalty.
 
     `w0` is an (R, n, d) stack of unit-norm starting points; all R restarts
     advance together through 8 phases of `iters` steps, the penalty weight
     rising from 0.25 to 4096 times max(1, max|a_ij|), by 4x per phase.
-    Early phases run with a weak penalty so the objective shapes the
-    solution; each phase output of each restart is repaired to exact
-    feasibility and that restart's best repaired iterate wins.  A restart
-    whose gradient vanishes takes no further step in that phase.
+    Each step adds the normalized gradient, scaled by 0.06 / (1 + 4t/iters),
+    to a velocity that keeps half its previous value; the velocity starts
+    at zero in every phase, because each new penalty weight changes the
+    landscape.  Early phases run with a weak penalty so the objective
+    shapes the solution; each phase output of each restart is repaired to
+    exact feasibility and that restart's best repaired iterate wins.  A
+    restart whose gradient vanishes drops its velocity and takes no
+    further step in that phase.
     """
     n_r, n, _ = w0.shape
     scale = max(1.0, float(np.max(np.abs(a))))
@@ -140,14 +145,18 @@ def _ascend_stack(a: np.ndarray, w0: np.ndarray, iters: int) -> list[np.ndarray 
     best_w: list[np.ndarray | None] = [None] * n_r
     best_obj = [-math.inf] * n_r
     mu = 0.25 * scale
+    vel = np.empty_like(w)
     for _phase in range(8):
         moving = np.ones((n_r, 1, 1), dtype=bool)
+        vel.fill(0.0)
         for t in range(iters):
             _penalized_grad(a2, w, mu, g, e, grad)
             gnorm = np.sqrt(np.add.reduce(grad * grad, axis=(1, 2), keepdims=True))
             moving &= gnorm > 0.0
-            grad *= np.divide(0.05 / (1.0 + 4.0 * t / iters), gnorm, out=np.zeros_like(gnorm), where=moving)
-            w += grad
+            grad *= np.divide(0.06 / (1.0 + 4.0 * t / iters), gnorm, out=np.zeros_like(gnorm), where=moving)
+            vel *= 0.5 * moving
+            vel += grad
+            w += vel
             w /= np.sqrt(np.add.reduce(w * w, axis=(1, 2), keepdims=True))
         for r in range(n_r):
             repaired = _repair(a, w[r])

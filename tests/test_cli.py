@@ -208,6 +208,23 @@ class TestBench:
             statuses = sorted((r["algo"], r["status"]) for r in csv.DictReader(fh))
         assert statuses == [("general", "ok")] * 2 + [("trevisan", "error:ConvergenceError")] * 2
 
+    @pytest.mark.parametrize(
+        "item",
+        [{"family": "random", "n": 6.5, "seed": 1}, {"family": "star", "leaves": True}],
+        ids=["random-n-fractional", "star-leaves-bool"],
+    )
+    def test_non_integer_family_parameter_is_a_row_status(self, tmp_path, item):
+        cfg, csv_path, _ = self.make_config(tmp_path)
+        obj = json.loads(cfg.read_text())
+        obj["instances"].append(item)
+        cfg.write_text(json.dumps(obj))
+        assert main(["bench", str(cfg)]) == 0
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3 * 2
+        bad = [r for r in rows if r["n"] == ""]
+        assert [r["status"] for r in bad] == ["error:ValidationError"] * 2
+
 
 def top_normalized_eigenvalue(inst):
     """Top eigenvalue of D^{-1/2} A D^{-1/2} over the vertices of nonzero degree."""

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qpratio import sdp
 from qpratio.core import Assignment, QpRatioInstance, ValidationError, eval_qp_ratio
 from qpratio.exact import brute_force_qp_ratio
 from qpratio.generators import gen_bipartite_gap, gen_gap_sdp_certificate, gen_star, random_instance
@@ -196,8 +197,8 @@ class TestStackedAscent:
         assert not np.allclose(alone, _repair(a, live)[1])
 
 
-# objectives of the 6-phase x 300-step ascent this 8 x 75 schedule replaced,
-# sdp_solve(inst, seed=seed) with the default rank and restarts
+# objectives of the 6-phase x 300-step ascent that the 8-phase penalty ladder
+# replaced, sdp_solve(inst, seed=seed) with the default rank and restarts
 PREVIOUS_SCHEDULE = [
     ("random-n60", 1, 4.37629815124907),
     ("random-n60", 2, 3.8981066260243535),
@@ -206,6 +207,17 @@ PREVIOUS_SCHEDULE = [
     ("gap-n64", 1, 7.303352184521001),
     ("gap-n64", 2, 7.133295923844759),
 ]
+
+
+# objectives of the 8 x 75-step ladder without momentum, same calls
+PREVIOUS_LADDER = {
+    ("random-n60", 1): 4.523630570235352,
+    ("random-n60", 2): 4.008318661344609,
+    ("random-n100", 1): 5.547125526164223,
+    ("random-n100", 2): 5.601153945256294,
+    ("gap-n64", 1): 8.170654276758977,
+    ("gap-n64", 2): 8.151970361426931,
+}
 
 
 def schedule_instance(family, seed):
@@ -219,7 +231,20 @@ class TestSchedule:
     def test_not_below_previous_schedule(self, family, seed, previous):
         sol = sdp_solve(schedule_instance(family, seed), seed=seed)
         assert sol.objective >= previous
+        assert sol.objective >= PREVIOUS_LADDER[family, seed]
         assert sol.residual_pair <= 1e-15
+
+    def test_gradient_evaluations_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            _penalized_grad(*args)
+
+        monkeypatch.setattr(sdp, "_penalized_grad", counted)
+        sdp_solve(random_instance(20, seed=1), seed=1)
+        # 8 phases x 40 steps, each one evaluation for the whole restart stack
+        assert len(calls) == 320
 
     def test_unwarmed_below_opt_count(self):
         # random n = 8, 10, 12 at density 0.5, seeds 0-11: the previous
