@@ -62,19 +62,22 @@ def _is_int(x) -> bool:
 def _param(spec: dict, key: str, typ):
     """spec[key] converted by typ; a missing value names the `gen` flag that sets it.
 
-    An int parameter must already be an integer: int() would run 6.5 as 6
-    and true as 1.
+    An int parameter must already be an integer and a float one a number:
+    int() would run 6.5 as 6 and true as 1, float() true as 1.0 and "0.3"
+    as 0.3.
     """
     value = spec.get(key)
     if value is None:
         raise ValidationError(f"family {spec.get('family')!r} needs --{key.replace('_', '-')}")
     if typ is int and not _is_int(value):
         raise ValidationError(f"family {spec.get('family')!r}: {key} must be an integer, got {value!r}")
+    if typ is float and not (_is_int(value) or isinstance(value, float)):
+        raise ValidationError(f"family {spec.get('family')!r}: {key} must be a number, got {value!r}")
     return typ(value)
 
 
-def _int_or(spec: dict, key: str, default: int) -> int:
-    return _param(spec, key, int) if key in spec else default
+def _param_or(spec: dict, key: str, typ, default):
+    return _param(spec, key, typ) if key in spec else default
 
 
 def _gen_instance(spec: dict) -> core.QpRatioInstance:
@@ -82,24 +85,26 @@ def _gen_instance(spec: dict) -> core.QpRatioInstance:
     if family == "star":
         return generators.gen_star(_param(spec, "leaves", int))
     if family == "bipartite-gap":
-        return generators.gen_bipartite_gap(_param(spec, "n", int), _int_or(spec, "seed", 0))
+        return generators.gen_bipartite_gap(_param(spec, "n", int), _param_or(spec, "seed", int, 0))
     if family == "planted":
         params = generators.PlantedParams(
             n=_param(spec, "n", int),
-            r=spec.get("r"),
-            p=spec.get("p"),
-            planted_size=spec.get("planted_size"),
-            delta=float(spec.get("delta", 0.1)),
-            seed=_int_or(spec, "seed", 0),
+            r=_param_or(spec, "r", int, None),
+            p=_param_or(spec, "p", float, None),
+            planted_size=_param_or(spec, "planted_size", int, None),
+            delta=_param_or(spec, "delta", float, 0.1),
+            seed=_param_or(spec, "seed", int, 0),
         )
         return generators.gen_planted(params)[0]
     if family == "level-graph":
         return generators.gen_level_graph(
-            generators.LevelGraphParams(eps=_param(spec, "eps", float), n0=_int_or(spec, "n0", 1))
+            generators.LevelGraphParams(eps=_param(spec, "eps", float), n0=_param_or(spec, "n0", int, 1))
         )
     if family == "random":
         return generators.random_instance(
-            _param(spec, "n", int), _int_or(spec, "seed", 0), float(spec.get("density", 1.0))
+            _param(spec, "n", int),
+            _param_or(spec, "seed", int, 0),
+            _param_or(spec, "density", float, 1.0),
         )
     if family == "apx-gadget":
         if "cycle" in spec and spec["cycle"]:

@@ -210,10 +210,37 @@ class TestBench:
 
     @pytest.mark.parametrize(
         "item",
-        [{"family": "random", "n": 6.5, "seed": 1}, {"family": "star", "leaves": True}],
-        ids=["random-n-fractional", "star-leaves-bool"],
+        [
+            {"family": "random", "n": 6.5, "seed": 1},
+            {"family": "star", "leaves": True},
+            {"family": "planted", "n": 16, "seed": 1, "r": 2.5},
+        ],
+        ids=["random-n-fractional", "star-leaves-bool", "planted-r-fractional"],
     )
     def test_non_integer_family_parameter_is_a_row_status(self, tmp_path, item):
+        self.assert_bad_item_is_a_row_status(tmp_path, item)
+
+    @pytest.mark.parametrize(
+        "item",
+        [
+            {"family": "random", "n": 6, "seed": 1, "density": True},
+            {"family": "random", "n": 6, "seed": 1, "density": "0.3"},
+            {"family": "planted", "n": 16, "seed": 1, "delta": False},
+            {"family": "planted", "n": 16, "seed": 1, "p": True},
+            {"family": "level-graph", "eps": "0.5"},
+        ],
+        ids=[
+            "random-density-bool",
+            "random-density-string",
+            "planted-delta-bool",
+            "planted-p-bool",
+            "level-graph-eps-string",
+        ],
+    )
+    def test_non_number_float_parameter_is_a_row_status(self, tmp_path, item):
+        self.assert_bad_item_is_a_row_status(tmp_path, item)
+
+    def assert_bad_item_is_a_row_status(self, tmp_path, item):
         cfg, csv_path, _ = self.make_config(tmp_path)
         obj = json.loads(cfg.read_text())
         obj["instances"].append(item)

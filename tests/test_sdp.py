@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qpratio import sdp
-from qpratio.core import Assignment, QpRatioInstance, ValidationError, eval_qp_ratio
+from qpratio.core import Assignment, QpRatioInstance, ValidationError, eval_qp_ratio, vector_objective
 from qpratio.exact import brute_force_qp_ratio
 from qpratio.generators import gen_bipartite_gap, gen_gap_sdp_certificate, gen_star, random_instance
 from qpratio.sdp import (
@@ -134,6 +134,17 @@ class TestGramSolution:
         direct = 2.0 * sum(wt * float(w[i] @ w[j]) for i, j, wt in zip(ii, jj, ww))
         assert sol.objective == pytest.approx(direct, abs=1e-9)
 
+    @pytest.mark.parametrize("n", [6, 40, 140])
+    def test_objective_matches_vector_objective(self, n):
+        # build reads the objective off its Gram matrix; the gather form stays for hardness
+        inst = random_instance(n, seed=n, density=0.3)
+        rng = np.random.default_rng(n)
+        random = rng.standard_normal((n, 5))
+        repaired = _repair(inst.to_dense(), rng.standard_normal((n, 5)))[1]
+        for w in (random, repaired):
+            ref = vector_objective(inst, w)
+            assert GramSolution.build(inst, w).objective == pytest.approx(ref, rel=1e-12, abs=0)
+
     def test_pair_residual_definition(self):
         inst = QpRatioInstance(2, ((0, 1, 1.0),))
         w = np.array([[1.0, 0.0], [0.5, 0.0]])  # <w0,w1>=0.5 > w1^2=0.25
@@ -170,6 +181,20 @@ class TestStackedAscent:
                 _penalized_grad(2.0 * a, w[None].copy(), mu, np.empty((1, n, n)), np.empty((1, n, n)), got)
                 ref = reference_grad(a, w, mu)
                 assert np.max(np.abs(got[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_float32_gradient_matches_reference(self):
+        n = 40
+        a = random_instance(n, seed=3, density=0.3).to_dense()
+        rng = np.random.default_rng(1)
+        w = rng.standard_normal((3, n, 10))
+        w /= np.linalg.norm(w, axis=(1, 2), keepdims=True)
+        buf = np.empty((3, n, n), dtype=np.float32)
+        for mu in (0.25, 64.0, 4096.0):
+            got = np.empty(w.shape, dtype=np.float32)
+            _penalized_grad((2.0 * a).astype(np.float32), w.astype(np.float32), mu, buf, np.empty_like(buf), got)
+            for r in range(3):
+                ref = reference_grad(a, w[r], mu)
+                assert np.max(np.abs(got[r] - ref)) <= 1e-5 * np.max(np.abs(ref))
 
     def test_restart_alone_matches_stack(self):
         inst = random_instance(30, seed=4)
@@ -235,16 +260,18 @@ class TestSchedule:
         assert sol.residual_pair <= 1e-15
 
     def test_gradient_evaluations_per_call(self, monkeypatch):
-        calls = []
+        dtypes = []
 
         def counted(*args):
-            calls.append(1)
+            dtypes.append({x.dtype for x in args if isinstance(x, np.ndarray)})
             _penalized_grad(*args)
 
         monkeypatch.setattr(sdp, "_penalized_grad", counted)
-        sdp_solve(random_instance(20, seed=1), seed=1)
-        # 8 phases x 40 steps, each one evaluation for the whole restart stack
-        assert len(calls) == 320
+        sol = sdp_solve(random_instance(20, seed=1), seed=1)
+        # 8 phases x 40 steps, each one float32 evaluation for the whole restart stack
+        assert len(dtypes) == 320
+        assert all(d == {np.dtype(np.float32)} for d in dtypes)
+        assert sol.vectors.dtype == np.float64
 
     def test_unwarmed_below_opt_count(self):
         # random n = 8, 10, 12 at density 0.5, seeds 0-11: the previous
