@@ -5,6 +5,7 @@ from .core import (
     Assignment,
     BudgetExceeded,
     DimensionMismatch,
+    EntryArrays,
     FractionalAssignment,
     ParseError,
     QpIntermediateInstance,

@@ -159,7 +159,7 @@ def _run_algo(inst: core.QpRatioInstance, algo: str, seed: int, eps: float):
             return core.trivial_solution(inst)
         return spectral.trevisan_round(inst, x)
     if algo == "psd":
-        if not inst.entries:
+        if not inst.nnz:
             return core.trivial_solution(inst)
         res = spectral.eigen_max(inst.to_dense(), seed=seed)
         # canonical PSD completion: lift the diagonal by |min eigenvalue|
@@ -323,7 +323,7 @@ def cmd_reduce(args) -> int:
     meta["source_sha256_16"] = source_hash
     out = dataclasses.replace(out, meta=meta)
     core.save_instance(out, args.out)
-    print(f"wrote {args.out} ({out.n} variables, {len(out.entries)} entries)")
+    print(f"wrote {args.out} ({out.n} variables, {out.nnz} entries)")
     return 0
 
 

@@ -14,9 +14,11 @@ All types are immutable after construction and all evaluators are pure.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -127,30 +129,165 @@ class FractionalAssignment:
         return np.array(self.values, dtype=np.float64)
 
 
-def _normalize_entries(n: int, entries):
-    """Sort and validate (i, j, w) triples; returns the canonical tuple."""
-    seen = set()
-    out = []
-    for idx, ent in enumerate(entries):
-        try:
-            i, j, w = ent
-            i, j, w = int(i), int(j), float(w)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"entry {idx}: expected numeric (i, j, w), got {ent!r}") from exc
-        if i == j:
-            raise ValidationError(f"entry {idx}: diagonal pair ({i},{j}) is not allowed")
-        if i > j:
-            i, j = j, i
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValidationError(f"entry {idx}: index pair ({i},{j}) outside [0,{n})")
-        if not np.isfinite(w):
-            raise ValidationError(f"entry {idx}: weight {w!r} is not finite")
-        if (i, j) in seen:
-            raise ValidationError(f"entry {idx}: duplicate pair ({i},{j})")
-        seen.add((i, j))
-        out.append((i, j, w))
-    out.sort(key=lambda e: (e[0], e[1]))
-    return tuple(out)
+class EntryArrays(NamedTuple):
+    """Entries as three parallel columns: pair (i[k], j[k]) has weight w[k].
+
+    An instance stores its entries in this form, canonical and read-only:
+    int64 indices with i < j, float64 weights, sorted by (i, j).  The
+    instance constructors accept it as input too, in any order and
+    orientation, and validate it as they validate a sequence of triples.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    w: np.ndarray
+
+
+def _is_real_type(t: type) -> bool:
+    return issubclass(t, numbers.Real) and not issubclass(t, (bool, np.bool_))
+
+
+def _entry_problem(ent) -> Optional[str]:
+    """Why an input entry is not an (integer, integer, real) triple, or None."""
+    try:
+        i, j, w = ent
+    except (TypeError, ValueError):
+        return f"expected numeric (i, j, w), got {ent!r}"
+    if any(isinstance(v, (bool, np.bool_)) for v in (i, j, w)):
+        return f"expected integer indices and a non-bool weight, got {ent!r}"
+    if not all(isinstance(v, numbers.Real) for v in (i, j, w)):
+        return f"expected numeric (i, j, w), got {ent!r}"
+    try:
+        fi, fj, _ = float(i), float(j), float(w)
+    except (ValueError, OverflowError):
+        return f"expected numeric (i, j, w), got {ent!r}"
+    if not (math.isfinite(fi) and math.isfinite(fj)):
+        return f"expected numeric (i, j, w), got {ent!r}"
+    if fi != math.trunc(fi) or fj != math.trunc(fj):
+        return f"expected integer indices and a non-bool weight, got {ent!r}"
+    return None
+
+
+def _triple_columns(entries):
+    """Index and weight columns of a sequence of (i, j, w) triples.
+
+    Returns (i, j, w, error): error is a ParseError naming the first entry
+    that is not an (integer, integer, real) triple, and the columns then
+    cover only the entries before it.  Element types are checked once per
+    distinct type; the per-entry check runs only to locate a bad entry.
+    """
+    ents = entries if isinstance(entries, (list, tuple)) else list(entries)
+    try:
+        if set(map(len, ents)) - {3}:
+            raise TypeError
+        cols = tuple(zip(*ents)) or ((), (), ())
+        if not all(_is_real_type(t) for col in cols for t in set(map(type, col))):
+            raise TypeError
+        fi, fj, fw = (np.array(col, dtype=np.float64) for col in cols)
+    except (TypeError, ValueError, OverflowError):
+        p = next(k for k, ent in enumerate(ents) if _entry_problem(ent))
+        ii, jj, ww, _ = _triple_columns(ents[:p])
+        return ii, jj, ww, ParseError(f"entry {p}: {_entry_problem(ents[p])}")
+    bad = ~(np.isfinite(fi) & np.isfinite(fj)) | (fi != np.trunc(fi)) | (fj != np.trunc(fj))
+    error = None
+    if bad.any():
+        p = int(np.argmax(bad))
+        fi, fj, fw = fi[:p], fj[:p], fw[:p]
+        error = ParseError(f"entry {p}: {_entry_problem(ents[p])}")
+    # indices past +-2^62 are out of range for any instance; the clip keeps
+    # them out of range through the int64 cast
+    ii, jj = (np.clip(f, -(2.0**62), 2.0**62).astype(np.int64) for f in (fi, fj))
+    return ii, jj, fw, error
+
+
+def _array_columns(arrays: EntryArrays):
+    """EntryArrays columns copied to int64, int64 and float64, with no parse error."""
+    cols = [np.asarray(c) for c in arrays]
+    if not (all(c.ndim == 1 for c in cols) and cols[0].size == cols[1].size == cols[2].size):
+        shapes = [c.shape for c in cols]
+        raise ParseError(f"entry arrays must be three 1-d arrays of one length, got shapes {shapes}")
+    if cols[0].dtype.kind not in "iu" or cols[1].dtype.kind not in "iu" or cols[2].dtype.kind not in "iuf":
+        dtypes = [str(c.dtype) for c in cols]
+        raise ParseError(f"entry arrays need integer indices and real weights, got dtypes {dtypes}")
+    return cols[0].astype(np.int64), cols[1].astype(np.int64), cols[2].astype(np.float64), None
+
+
+class _CanonicalArrays(EntryArrays):
+    """EntryArrays known to be canonical and read-only, taken without checks."""
+
+
+def _is_canonical(n: int, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray) -> bool:
+    """Whether the entries are valid and already canonical, checked with a
+    few whole-array passes, so that canonical input skips the sort."""
+    if ii.size == 0:
+        return True
+    if n > 2**31:  # the pair key i n + j below would overflow int64
+        return False
+    if not (np.all(ii < jj) and ii.min() >= 0 and jj.max() < n and np.all(np.isfinite(ww))):
+        return False
+    key = ii * n + jj
+    return bool(np.all(key[1:] > key[:-1]))
+
+
+def _canonical_entries(n: int, entries) -> EntryArrays:
+    """Validate entries and return them canonical: i < j, sorted by (i, j).
+
+    An error names the first offending input entry, checking each entry for
+    its form, a diagonal pair, an index outside [0, n), a non-finite weight
+    and a pair repeated from an earlier entry, in that order.
+    """
+    if isinstance(entries, _CanonicalArrays):
+        return EntryArrays(*entries)
+    if isinstance(entries, EntryArrays):
+        ii, jj, ww, error = _array_columns(entries)
+    else:
+        ii, jj, ww, error = _triple_columns(entries)
+    if error is None and _is_canonical(n, ii, jj, ww):
+        for col in (ii, jj, ww):
+            col.setflags(write=False)
+        return EntryArrays(ii, jj, ww)
+    lo, hi = np.minimum(ii, jj), np.maximum(ii, jj)
+    diag = ii == jj
+    outside = (lo < 0) | (hi >= n)
+    nonfinite = ~np.isfinite(ww)
+    # a stable sort keeps repeated pairs in input order, so every copy after
+    # the first of a pair is flagged
+    order = np.lexsort((hi, lo))
+    slo, shi = lo[order], hi[order]
+    dup = np.zeros(ii.size, dtype=bool)
+    dup[order[1:]] = (slo[1:] == slo[:-1]) & (shi[1:] == shi[:-1])
+    bad = diag | outside | nonfinite | dup
+    if bad.any():
+        k = int(np.argmax(bad))
+        i, j, w = int(ii[k]), int(jj[k]), float(ww[k])
+        if diag[k]:
+            raise ValidationError(f"entry {k}: diagonal pair ({i},{j}) is not allowed")
+        if outside[k]:
+            raise ValidationError(f"entry {k}: index pair ({min(i, j)},{max(i, j)}) outside [0,{n})")
+        if nonfinite[k]:
+            raise ValidationError(f"entry {k}: weight {w!r} is not finite")
+        raise ValidationError(f"entry {k}: duplicate pair ({min(i, j)},{max(i, j)})")
+    if error is not None:
+        raise error
+    lo, hi, ww = slo, shi, ww[order]
+    for col in (lo, hi, ww):
+        col.setflags(write=False)
+    return EntryArrays(lo, hi, ww)
+
+
+def _index_array(values, what: str) -> np.ndarray:
+    """Integer indices as an int64 array; bools and non-integral numbers are refused."""
+    if isinstance(values, np.ndarray):
+        arr = values
+    else:
+        values = list(values)
+        if not all(_is_real_type(t) for t in set(map(type, values))):
+            raise ParseError(f"{what} must be a list of integer indices, got {values!r}")
+        arr = np.asarray(values)
+    plain = arr.dtype.kind in "iuf" or arr.size == 0
+    if arr.ndim != 1 or not plain or not np.all(np.isfinite(arr) & (arr == np.trunc(arr))):
+        raise ParseError(f"{what} must be a list of integer indices, got {values!r}")
+    return arr.astype(np.int64)
 
 
 def _convert(values, typ, what: str) -> tuple:
@@ -164,38 +301,68 @@ def _convert(values, typ, what: str) -> tuple:
 _MAX_DENSE_N = 5000
 
 
+class _EntriesField:
+    """The `entries` field: stored as canonical EntryArrays (`inst.arrays`),
+    read as a tuple of (i, j, w) triples that is built on first read and
+    then cached.  Hot paths read the arrays and never build the tuple."""
+
+    def __get__(self, inst, owner=None):
+        if inst is None:
+            # no class-level value: the dataclass field has no default
+            raise AttributeError("entries")
+        cached = inst.__dict__.get("_entries_tuple")
+        if cached is None:
+            a = inst.arrays
+            cached = tuple(zip(a.i.tolist(), a.j.tolist(), a.w.tolist()))
+            inst.__dict__["_entries_tuple"] = cached
+        return cached
+
+    def __set__(self, inst, value):
+        # only the dataclass __init__ gets here (the frozen __setattr__
+        # refuses everyone else); __post_init__ canonicalizes the value
+        inst.__dict__["_entries_input"] = value
+
+
 @dataclass(frozen=True)
 class _SymmetricInstance:
-    """Symmetric n x n matrix with its off-diagonal part stored as i < j entries."""
+    """Symmetric n x n matrix with its off-diagonal part stored as i < j entries.
+
+    The constructor takes the entries as a sequence of (i, j, w) triples or
+    as EntryArrays; `arrays` holds them canonical.
+    """
 
     n: int
-    entries: tuple[tuple[int, int, float], ...]
+    entries: tuple[tuple[int, int, float], ...] = _EntriesField()
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValidationError(f"instance size must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "entries", _normalize_entries(self.n, self.entries))
+        arrays = _canonical_entries(self.n, self.__dict__.pop("_entries_input"))
+        object.__setattr__(self, "arrays", arrays)
+
+    @property
+    def nnz(self) -> int:
+        """The number of stored entries."""
+        return int(self.arrays.w.size)
 
     @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self.entries:
-            ii = np.array([e[0] for e in self.entries], dtype=np.int64)
-            jj = np.array([e[1] for e in self.entries], dtype=np.int64)
-            ww = np.array([e[2] for e in self.entries], dtype=np.float64)
-        else:
-            ii = np.zeros(0, dtype=np.int64)
-            jj = np.zeros(0, dtype=np.int64)
-            ww = np.zeros(0, dtype=np.float64)
-        return ii, jj, ww
+    def _degrees(self) -> np.ndarray:
+        ii, jj, ww = self.arrays
+        d = np.zeros(self.n, dtype=np.float64)
+        np.add.at(d, ii, np.abs(ww))
+        np.add.at(d, jj, np.abs(ww))
+        d.setflags(write=False)
+        return d
 
     def to_dense(self) -> np.ndarray:
         """The full symmetric matrix; refused above n = 5000."""
         if self.n > _MAX_DENSE_N:
             raise ValidationError(f"refusing to densify n={self.n} > {_MAX_DENSE_N}")
         a = np.zeros((self.n, self.n), dtype=np.float64)
-        ii, jj, ww = self._arrays
-        a[ii, jj] = ww
-        a[jj, ii] = ww
+        ii, jj, ww = self.arrays
+        flat = a.ravel()
+        flat[ii * self.n + jj] = ww
+        flat[jj * self.n + ii] = ww
         return a
 
 
@@ -209,9 +376,7 @@ class QpRatioInstance(_SymmetricInstance):
     def __post_init__(self):
         super().__post_init__()
         if self.bipartition is not None:
-            left, right = self.bipartition
-            left = _convert(left, int, "bipartition side")
-            right = _convert(right, int, "bipartition side")
+            left, right = (tuple(_index_array(side, "bipartition side").tolist()) for side in self.bipartition)
             ls, rs = set(left), set(right)
             for side, uniq in ((left, ls), (right, rs)):
                 if len(uniq) != len(side):
@@ -222,9 +387,13 @@ class QpRatioInstance(_SymmetricInstance):
             for v in ls | rs:
                 if not 0 <= v < self.n:
                     raise ValidationError(f"bipartition index {v} outside [0,{self.n})")
-            for i, j, _ in self.entries:
-                if not ((i in ls and j in rs) or (i in rs and j in ls)):
-                    raise ValidationError(f"entry ({i},{j}) does not cross the bipartition")
+            mark = np.zeros(self.n, dtype=np.int8)
+            mark[list(left)], mark[list(right)] = 1, 2
+            ii, jj, _ = self.arrays
+            crossing = mark[ii] * mark[jj] == 2
+            if not np.all(crossing):
+                k = int(np.argmin(crossing))
+                raise ValidationError(f"entry ({int(ii[k])},{int(jj[k])}) does not cross the bipartition")
             object.__setattr__(self, "bipartition", (left, right))
 
 
@@ -249,8 +418,7 @@ class QpIntermediateInstance(_SymmetricInstance):
 
     def norm1(self) -> float:
         """sum_{i,j} |A_ij| over the full matrix, diagonal included."""
-        _, _, ww = self._arrays
-        return float(2.0 * np.sum(np.abs(ww)) + np.sum(np.abs(self.diag)))
+        return float(2.0 * np.sum(np.abs(self.arrays.w)) + np.sum(np.abs(self.diag)))
 
     def to_dense(self) -> np.ndarray:
         a = super().to_dense()
@@ -259,17 +427,13 @@ class QpIntermediateInstance(_SymmetricInstance):
 
 
 def degrees(inst: QpRatioInstance) -> np.ndarray:
-    """d_i = sum_j |a_ij| over the symmetric completion."""
-    d = np.zeros(inst.n, dtype=np.float64)
-    ii, jj, ww = inst._arrays
-    np.add.at(d, ii, np.abs(ww))
-    np.add.at(d, jj, np.abs(ww))
-    return d
+    """d_i = sum_j |a_ij| over the symmetric completion (read-only, cached per instance)."""
+    return inst._degrees
 
 
 def _quad_sum(inst, x: np.ndarray) -> float:
     """Full symmetric sum sum_{i != j} a_ij x_i x_j (each pair counted twice)."""
-    ii, jj, ww = inst._arrays
+    ii, jj, ww = inst.arrays
     if ww.size == 0:
         return 0.0
     return float(2.0 * np.sum(ww * x[ii] * x[jj]))
@@ -277,7 +441,7 @@ def _quad_sum(inst, x: np.ndarray) -> float:
 
 def vector_objective(inst: QpRatioInstance, w: np.ndarray) -> float:
     """sum_{i != j} a_ij <w_i, w_j> for vectors w_i (the rows of w)."""
-    ii, jj, ww = inst._arrays
+    ii, jj, ww = inst.arrays
     inner = np.einsum("ed,ed->e", w[ii], w[jj]) if ww.size else np.zeros(0)
     return float(2.0 * np.sum(ww * inner))
 
@@ -320,34 +484,50 @@ def eval_qp_intermediate(inst: QpIntermediateInstance, x) -> RatioValue:
 def trivial_solution(inst: QpRatioInstance) -> tuple[Assignment, RatioValue]:
     """Best single-edge assignment: two nonzeros on a maximum-|weight| entry.
 
-    Attains max |a_ij| under the full-sum convention; the all-zero assignment
+    Attains max |a_ij| under the full-sum convention; among entries of equal
+    |weight| the first in (i, j) order wins.  The all-zero assignment
     (value 0) is returned for instances with no entries.
     """
-    if not inst.entries:
+    ii, jj, ww = inst.arrays
+    if ww.size == 0:
         return Assignment(tuple([0] * inst.n)), RatioValue.of(0.0, 0.0)
-    i, j, w = max(inst.entries, key=lambda e: (abs(e[2]), -e[0], -e[1]))
+    k = int(np.argmax(np.abs(ww)))
+    w = float(ww[k])
     vals = [0] * inst.n
-    vals[i] = 1
-    vals[j] = 1 if w >= 0 else -1
+    vals[int(ii[k])] = 1
+    vals[int(jj[k])] = 1 if w >= 0 else -1
     a = Assignment(tuple(vals))
-    return a, eval_qp_ratio(inst, a)
+    if w == 0.0:
+        return a, eval_qp_ratio(inst, a)
+    # every other term of the evaluator's sum is a signed zero, so its value
+    # is exactly this one
+    return a, RatioValue.of(2.0 * abs(w), 2.0)
 
 
 def restrict(inst: QpRatioInstance, keep: Sequence[int]) -> tuple[QpRatioInstance, np.ndarray]:
     """Induced sub-instance on `keep` (sorted); returns it and the kept indices."""
-    keep = np.array(sorted(set(int(k) for k in keep)), dtype=np.int64)
+    keep = np.unique(_index_array(keep, "restrict vertex set"))
     if keep.size == 0:
         raise ValidationError("cannot restrict to an empty vertex set")
-    pos = {int(v): k for k, v in enumerate(keep)}
-    entries = [
-        (pos[i], pos[j], w) for (i, j, w) in inst.entries if i in pos and j in pos
-    ]
+    if keep[0] < 0 or keep[-1] >= inst.n:
+        bad = keep[0] if keep[0] < 0 else keep[-1]
+        raise ValidationError(f"restrict vertex {int(bad)} outside [0,{inst.n})")
+    if keep.size == inst.n:
+        return inst, keep
+    pos = np.full(inst.n, -1, dtype=np.int64)
+    pos[keep] = np.arange(keep.size)
+    ii, jj, ww = inst.arrays
+    pi, pj = pos[ii], pos[jj]
+    inside = (pi >= 0) & (pj >= 0)
+    # the relabel is monotone, so the kept entries stay canonical
+    entries = _CanonicalArrays(*(c[inside] for c in (pi, pj, ww)))
+    for col in entries:
+        col.setflags(write=False)
     bip = None
     if inst.bipartition is not None:
-        left = tuple(pos[v] for v in inst.bipartition[0] if v in pos)
-        right = tuple(pos[v] for v in inst.bipartition[1] if v in pos)
-        bip = (left, right)
-    return QpRatioInstance(int(keep.size), tuple(entries), bip, inst.meta), keep
+        sides = (pos[list(side)] for side in inst.bipartition)
+        bip = tuple(tuple(p[p >= 0].tolist()) for p in sides)
+    return QpRatioInstance(int(keep.size), entries, bip, inst.meta), keep
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +535,8 @@ def restrict(inst: QpRatioInstance, keep: Sequence[int]) -> tuple[QpRatioInstanc
 # ---------------------------------------------------------------------------
 
 def instance_to_obj(inst) -> dict:
-    obj: dict = {"n": inst.n, "entries": [[i, j, w] for (i, j, w) in inst.entries]}
+    ii, jj, ww = inst.arrays
+    obj: dict = {"n": inst.n, "entries": [list(e) for e in zip(ii.tolist(), jj.tolist(), ww.tolist())]}
     if isinstance(inst, QpRatioInstance):
         obj["kind"] = "qp_ratio"
         if inst.bipartition is not None:

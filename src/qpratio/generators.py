@@ -17,6 +17,7 @@ import numpy as np
 from .core import (
     Assignment,
     BudgetExceeded,
+    EntryArrays,
     QpRatioInstance,
     RatioValue,
     ValidationError,
@@ -36,7 +37,7 @@ def gen_star(leaves: int) -> QpRatioInstance:
     """Unit-weight star: center 0, edges (0, i) for i = 1..leaves."""
     if leaves < 1:
         raise ValidationError(f"a star needs at least one leaf, got {leaves}")
-    entries = tuple((0, i, 1.0) for i in range(1, leaves + 1))
+    entries = EntryArrays(np.zeros(leaves, np.int64), np.arange(1, leaves + 1), np.ones(leaves))
     return QpRatioInstance(leaves + 1, entries, meta=_meta("star", leaves=leaves))
 
 
@@ -64,12 +65,9 @@ def gen_bipartite_gap(n: int, seed: int) -> QpRatioInstance:
         raise ValidationError(f"bipartite gap needs a perfect square n >= 4, got {n}")
     rng = rng_for(seed, 0xB1)
     b = rng.integers(0, 2, size=(s, n)) * 2 - 1
-    entries = []
-    for i in range(s):
-        for j in range(n):
-            entries.append((i, s + j, float(b[i, j])))
+    entries = EntryArrays(np.repeat(np.arange(s), n), s + np.tile(np.arange(n), s), b.ravel().astype(float))
     bip = (tuple(range(s)), tuple(range(s, s + n)))
-    return QpRatioInstance(s + n, tuple(entries), bip, _meta("bipartite_gap", seed, n=n))
+    return QpRatioInstance(s + n, entries, bip, _meta("bipartite_gap", seed, n=n))
 
 
 def _gap_sign_matrix(inst: QpRatioInstance) -> np.ndarray:
@@ -77,7 +75,7 @@ def _gap_sign_matrix(inst: QpRatioInstance) -> np.ndarray:
         raise ValidationError("gap certificate needs a bipartite instance")
     left, right = inst.bipartition
     s, n = len(left), len(right)
-    if s * s != n or len(inst.entries) != s * n:
+    if s * s != n or inst.nnz != s * n:
         raise ValidationError("instance is not a complete sqrt(n) x n bipartite sign matrix")
     b = inst.to_dense()[np.ix_(left, right)]
     bad = b[np.abs(b) != 1.0]
@@ -145,14 +143,12 @@ def gen_planted(params: PlantedParams) -> tuple[QpRatioInstance, Assignment]:
     rho_l = rng.integers(0, 2, size=params.planted_size) * 2 - 1
     rho_r = rng.integers(0, 2, size=r) * 2 - 1
     signs[planted] = np.outer(rho_l, rho_r)
-    entries = []
     li, rj = np.nonzero(mask)
-    for i, j in zip(li.tolist(), rj.tolist()):
-        entries.append((i, n + j, float(signs[i, j])))
+    entries = EntryArrays(li, n + rj, signs[li, rj].astype(np.float64))
     bip = (tuple(range(n)), tuple(range(n, n + r)))
     inst = QpRatioInstance(
         n + r,
-        tuple(entries),
+        entries,
         bip,
         _meta(
             "planted",
@@ -222,33 +218,23 @@ def gen_level_graph(params: LevelGraphParams) -> QpRatioInstance:
         raise BudgetExceeded(
             f"level graph refused: {total_entries} entries exceed cap {_LEVEL_GRAPH_ENTRIES}"
         )
-    sizes = params.level_sizes()
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    n = int(offsets[-1])
-    cross_w = -(0.5 + params.eps)
-    ii: list[np.ndarray] = []
-    jj: list[np.ndarray] = []
-    ww: list[np.ndarray] = []
-    for lvl, size in enumerate(sizes):
-        base = int(offsets[lvl])
-        a, b = np.triu_indices(size, k=1)
-        ii.append(a + base)
-        jj.append(b + base)
-        ww.append(np.full(a.size, -1.0))
-        if lvl + 1 < len(sizes):
-            nxt = int(offsets[lvl + 1])
-            a = np.repeat(np.arange(size), sizes[lvl + 1]) + base
-            b = np.tile(np.arange(sizes[lvl + 1]), size) + nxt
-            ii.append(a)
-            jj.append(b)
-            ww.append(np.full(a.size, cross_w))
-    entries = tuple(
-        (int(i), int(j), float(w))
-        for i, j, w in zip(np.concatenate(ii), np.concatenate(jj), np.concatenate(ww))
-    )
+    sizes = np.array(params.level_sizes(), dtype=np.int64)
+    ends = np.cumsum(sizes)
+    n = int(ends[-1])
+    # vertex u of a level is joined to every later vertex of its level (its
+    # clique) and to every vertex of the next level: the partners u+1 .. end
+    # of the next level, one contiguous run, so the rows come out in (i, j)
+    # order with no sort
+    level_end = np.repeat(ends, sizes)
+    u = np.arange(n)
+    row_len = np.repeat(np.append(ends[1:], n), sizes) - u - 1
+    starts = np.cumsum(row_len) - row_len
+    ii = np.repeat(u, row_len)
+    jj = np.arange(ii.size) + np.repeat(u + 1 - starts, row_len)
+    ww = np.where(jj < level_end[ii], -1.0, -(0.5 + params.eps))
     return QpRatioInstance(
         n,
-        entries,
+        EntryArrays(ii, jj, ww),
         meta=_meta(
             "level_graph",
             None,
@@ -395,9 +381,48 @@ def random_instance(n: int, seed: int, density: float = 1.0) -> QpRatioInstance:
     if not 0 < density <= 1:
         raise ValidationError(f"density must be in (0,1], got {density}")
     rng = rng_for(seed, 0x44)
-    entries = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if density >= 1.0 or rng.random() < density:
-                entries.append((i, j, float(rng.uniform(-1.0, 1.0))))
-    return QpRatioInstance(n, tuple(entries), meta=_meta("random", seed, n=n, density=density))
+    pairs = n * (n - 1) // 2 if n > 1 else 0
+    if density >= 1.0:
+        picked = np.arange(pairs)
+        u = rng.random(pairs)
+    else:
+        picked, u = _density_draws(rng, pairs, density)
+    # pair p of the row-major order (i < j) lies in row i = the last row
+    # that starts at or before p
+    rows = np.arange(max(n, 0))
+    row_start = rows * (2 * n - rows - 1) // 2
+    ii = np.searchsorted(row_start, picked, side="right") - 1
+    jj = picked - row_start[ii] + ii + 1
+    entries = EntryArrays(ii, jj, -1.0 + 2.0 * u)
+    return QpRatioInstance(n, entries, meta=_meta("random", seed, n=n, density=density))
+
+
+def _density_draws(rng: np.random.Generator, pairs: int, density: float):
+    """The pairs a density test keeps and their weight draws, as a per-pair
+    loop would draw them: each pair draws one double for its test, and a
+    kept pair draws the next double for its weight.
+
+    Position k of the stream is a weight draw exactly when position k - 1 is
+    a test that passes.  Inside a run of doubles below `density` that starts
+    at s, the test and weight roles therefore alternate from s (a test), and
+    the first double after a failed test or a weight is a test again.
+    """
+    size = int(pairs * (1.0 + density) * 1.05) + 64
+    draws = rng.random(size)
+    while True:
+        below = draws < density
+        starts = np.flatnonzero(below & ~np.concatenate([[False], below[:-1]]))
+        run_start = np.zeros(draws.size, dtype=np.int64)
+        run_start[starts] = starts
+        run_start = np.maximum.accumulate(run_start)
+        k = np.arange(draws.size)
+        weight = np.zeros(draws.size, dtype=bool)
+        weight[1:] = below[:-1] & ((k[1:] - run_start[:-1]) % 2 == 1)
+        tests = np.flatnonzero(~weight)
+        # enough draws: every pair's test, plus the last kept pair's weight
+        if tests.size >= pairs and (pairs == 0 or tests[pairs - 1] + 1 < draws.size):
+            break
+        draws = np.concatenate([draws, rng.random(size)])
+    tests = tests[:pairs]
+    kept = below[tests]
+    return np.flatnonzero(kept), draws[tests[kept] + 1]

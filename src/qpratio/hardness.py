@@ -26,6 +26,7 @@ import numpy as np
 from .core import (
     Assignment,
     BudgetExceeded,
+    EntryArrays,
     FractionalAssignment,
     QpIntermediateInstance,
     QpRatioInstance,
@@ -546,7 +547,7 @@ def ug_to_intermediate(ug: UgInstance) -> tuple[QpIntermediateInstance, UgMappin
 
     diag = np.diag(mat)
     ii, jj = np.nonzero(np.triu(mat, 1))  # row-major, i < j
-    entries = tuple(zip(ii.tolist(), jj.tolist(), mat[ii, jj].tolist()))
+    entries = EntryArrays(ii, jj, mat[ii, jj])
     meta = {
         "family": "ug_reduction",
         "params": {"vertices": nv, "alphabet": r, "eta": eta, "edges": len(ug.edges)},

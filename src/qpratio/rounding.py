@@ -155,7 +155,7 @@ def round_close_lengths(inst: QpRatioInstance, w: np.ndarray, seed: int = 0) -> 
 def _relaxed_vectors(inst: QpRatioInstance, seed: int) -> np.ndarray | None:
     """The relaxation's vectors after preprocess_small, or None when there
     are no entries or the relaxation value is nonpositive."""
-    if not inst.entries:
+    if not inst.nnz:
         return None
     sol = sdp_solve(inst, seed=seed)
     if sol.objective <= 0:

@@ -45,7 +45,7 @@ class GramSolution:
             raise ValidationError(f"expected an {inst.n} x d vector array, got shape {w.shape}")
         w.setflags(write=False)
         gram = w @ w.T
-        ii, jj, ww = inst._arrays
+        ii, jj, ww = inst.arrays
         objective = float(2.0 * np.sum(ww * gram[ii, jj]))
         sq = np.einsum("id,id->i", w, w)
         norm1 = abs(float(np.sum(sq)) - 1.0)
@@ -214,7 +214,7 @@ def sdp_solve(
         else:
             sol = embed_assignment(inst, ws, dim=d)
         candidates.append(sol)
-    if inst.entries and restarts:
+    if inst.nnz and restarts:
         a = inst.to_dense()
         w0 = np.stack([rng_for(seed, 0x5D, r).standard_normal((inst.n, d)) for r in range(restarts)])
         w0 /= np.linalg.norm(w0, axis=(1, 2), keepdims=True)

@@ -326,6 +326,10 @@ class TestBadInput:
         [
             (["exact", "in.json"], {"in.json": '{"kind": "qp_ratio", "n": 2, "entries": [[0, 1, null]]}'}, "entry 0"),
             (["exact", "in.json"], {"in.json": '{"kind": "qp_ratio", "n": 2, "entries": [[0, 1, "x"]]}'}, "entry 0"),
+            (["exact", "in.json"], {"in.json": '{"kind": "qp_ratio", "n": 3, "entries": [[true, 2, 1.0]]}'}, "entry 0"),
+            (["exact", "in.json"], {"in.json": '{"kind": "qp_ratio", "n": 3, "entries": [[0, 2, true]]}'}, "entry 0"),
+            (["exact", "in.json"], {"in.json": '{"kind": "qp_ratio", "n": 3, "entries": [[0.7, 2, 1.0]]}'}, "entry 0"),
+            (["exact", "in.json"], {"in.json": '{"kind": "qp_ratio", "n": true, "entries": []}'}, "positive integer"),
             (
                 ["exact", "in.json"],
                 {"in.json": '{"kind": "qp_intermediate", "n": 2, "entries": [], "diag": [0.0, null]}'},
@@ -400,6 +404,10 @@ class TestBadInput:
         ids=[
             "null-weight",
             "string-weight",
+            "bool-index",
+            "bool-weight",
+            "fractional-index",
+            "bool-size",
             "null-diagonal",
             "string-bipartition-index",
             "gram-not-json",

@@ -7,6 +7,7 @@ import pytest
 from qpratio.core import (
     Assignment,
     DimensionMismatch,
+    EntryArrays,
     FractionalAssignment,
     ParseError,
     QpIntermediateInstance,
@@ -25,6 +26,67 @@ from qpratio.core import (
 )
 from qpratio.generators import gen_bipartite_gap, gen_star, random_instance
 from qpratio.util import rng_for
+
+
+def reference_normalize(n, entries):
+    """The per-entry canonicalizer that the array path replaced, kept as the
+    reference for inputs whose meaning did not change."""
+    seen = set()
+    out = []
+    for idx, ent in enumerate(entries):
+        try:
+            i, j, w = ent
+            i, j, w = int(i), int(j), float(w)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"entry {idx}: expected numeric (i, j, w), got {ent!r}") from exc
+        if i == j:
+            raise ValidationError(f"entry {idx}: diagonal pair ({i},{j}) is not allowed")
+        if i > j:
+            i, j = j, i
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValidationError(f"entry {idx}: index pair ({i},{j}) outside [0,{n})")
+        if not np.isfinite(w):
+            raise ValidationError(f"entry {idx}: weight {w!r} is not finite")
+        if (i, j) in seen:
+            raise ValidationError(f"entry {idx}: duplicate pair ({i},{j})")
+        seen.add((i, j))
+        out.append((i, j, w))
+    out.sort(key=lambda e: (e[0], e[1]))
+    return tuple(out)
+
+
+def outcome(fn, *args):
+    """The canonical entries a call returns, or the class and message it raises."""
+    try:
+        return "ok", fn(*args)
+    except ValidationError as exc:
+        return "raised", type(exc), str(exc)
+
+
+def random_entry_list(rng, n):
+    """Shuffled entries with reversed pairs, repeats, stray indices and
+    non-finite weights mixed in at low rates."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rng.shuffle(pairs)
+    entries = []
+    for i, j in pairs[: int(rng.integers(0, len(pairs) + 1))]:
+        w = float(rng.normal())
+        roll = rng.random()
+        if roll < 0.02:
+            w = [float("nan"), float("inf"), -float("inf")][int(rng.integers(3))]
+        elif roll < 0.04:
+            i = int(rng.choice([-1, n, n + 3, j]))
+        elif roll < 0.06 and entries:
+            i, j = entries[int(rng.integers(len(entries)))][:2]
+        elif roll < 0.07:
+            entries.append([None, (i, j), ("x", j, w), (float("nan"), j, w)][int(rng.integers(4))])
+            continue
+        if rng.random() < 0.5:
+            i, j = j, i
+        if rng.random() < 0.3:
+            i, j = np.int64(i), np.int32(j)
+        entries.append((i, j, w))
+    return entries
 
 
 def single_edge(w=1.0):
@@ -281,3 +343,132 @@ class TestProperties:
         assert sub.bipartition == ((0,), (1, 2))
         weights = {(i, j): w for i, j, w in gap.entries}
         assert sub.entries == ((0, 1, weights[(1, 3)]), (0, 2, weights[(1, 5)]))
+
+
+class TestCanonicalEntries:
+    def test_matches_the_reference_canonicalizer(self):
+        rng = rng_for(16)
+        raised = 0
+        for trial in range(400):
+            n = int(rng.integers(2, 9))
+            entries = random_entry_list(rng, n)
+            want = outcome(reference_normalize, n, entries)
+            got = outcome(lambda: QpRatioInstance(n, entries).entries)
+            assert got == want, (n, entries)
+            raised += want[0] == "raised"
+        assert 40 < raised < 360  # both outcomes are well represented
+
+    def test_array_input_matches_triples(self):
+        rng = rng_for(17)
+        for trial in range(200):
+            n = int(rng.integers(2, 9))
+            entries = [
+                e
+                for e in random_entry_list(rng, n)
+                if isinstance(e, tuple) and len(e) == 3 and not isinstance(e[0], (str, float))
+            ]
+            cols = EntryArrays(
+                np.array([e[0] for e in entries], dtype=np.int64),
+                np.array([e[1] for e in entries], dtype=np.int64),
+                np.array([e[2] for e in entries], dtype=np.float64),
+            )
+            assert outcome(lambda: QpRatioInstance(n, cols).entries) == outcome(
+                lambda: QpRatioInstance(n, entries).entries
+            )
+
+    def test_arrays_are_canonical_and_read_only(self):
+        inst = QpRatioInstance(4, [(3, 2, 0.25), (1, 0, 1.5), (0, 3, -2.0)])
+        ii, jj, ww = inst.arrays
+        assert (ii.dtype, jj.dtype, ww.dtype) == (np.int64, np.int64, np.float64)
+        assert ii.tolist() == [0, 0, 2] and jj.tolist() == [1, 3, 3] and ww.tolist() == [1.5, -2.0, 0.25]
+        with pytest.raises(ValueError):
+            ww[0] = 7.0
+
+    def test_caller_arrays_are_copied(self):
+        ww = np.array([1.0, 2.0])
+        inst = QpRatioInstance(3, EntryArrays(np.array([0, 1]), np.array([1, 2]), ww))
+        ww[0] = 9.0
+        assert inst.entries == ((0, 1, 1.0), (1, 2, 2.0))
+        assert ww.flags.writeable
+
+    def test_degrees_match_the_entry_order_sum(self):
+        inst = random_instance(30, seed=4, density=0.5)
+        d = np.zeros(inst.n)
+        for i, j, w in inst.entries:
+            d[i] += abs(w)
+        for i, j, w in inst.entries:
+            d[j] += abs(w)
+        assert np.array_equal(degrees(inst), d)
+        assert degrees(inst) is degrees(inst)
+
+    def test_trivial_solution_tie_break(self):
+        # equal |weight| on (0, 2) and (1, 2): the first in (i, j) order wins
+        inst = QpRatioInstance(3, ((1, 2, -2.0), (0, 2, 2.0), (0, 1, 1.0)))
+        a, v = trivial_solution(inst)
+        assert a.values == (1, 0, 1)
+        assert v == eval_qp_ratio(inst, a)
+        neg = QpRatioInstance(3, ((1, 2, -2.0), (0, 1, 1.0)))
+        a, v = trivial_solution(neg)
+        assert a.values == (0, 1, -1) and v == eval_qp_ratio(neg, a)
+
+    def test_trivial_solution_zero_weights(self):
+        inst = QpRatioInstance(3, ((0, 1, -0.0), (1, 2, 0.0)))
+        a, v = trivial_solution(inst)
+        assert v == eval_qp_ratio(inst, a) and v.value == 0.0
+
+
+class TestCoercionRefused:
+    """Inputs that used to be coerced silently are refused, naming the entry."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        [(0.7, 2, 1.0), (0, 2.5, 1.0), (True, 2, 1.0), (0, np.True_, 1.0), (0, 2, True), (0, 2, np.False_)],
+        ids=["fractional-i", "fractional-j", "bool-i", "numpy-bool-j", "bool-weight", "numpy-bool-weight"],
+    )
+    def test_entry_refused(self, entry):
+        with pytest.raises(ParseError, match=r"^entry 1: expected integer indices and a non-bool weight"):
+            QpRatioInstance(3, [(0, 1, 1.0), entry])
+
+    def test_numeric_string_refused(self):
+        with pytest.raises(ParseError, match=r"^entry 0: expected numeric"):
+            QpRatioInstance(3, [("0", 2, 1.0)])
+
+    def test_an_earlier_invalid_entry_is_named_first(self):
+        with pytest.raises(ValidationError, match=r"^entry 0: diagonal pair"):
+            QpRatioInstance(3, [(1, 1, 1.0), (0.5, 2, 1.0)])
+
+    def test_numpy_and_integral_values_accepted(self):
+        inst = QpRatioInstance(3, [(np.int64(0), np.int32(2), np.float32(1.5)), (1.0, 2, 3)])
+        assert inst.entries == ((0, 2, 1.5), (1, 2, 3.0))
+
+    def test_bool_size_refused(self):
+        with pytest.raises(ValidationError, match="positive integer"):
+            QpRatioInstance(True, ())
+
+    @pytest.mark.parametrize(
+        "obj, needle",
+        [
+            ({"kind": "qp_ratio", "n": 3, "entries": [[True, 2, 1.0]]}, "entry 0"),
+            ({"kind": "qp_ratio", "n": 3, "entries": [[0, 2, True]]}, "entry 0"),
+            ({"kind": "qp_ratio", "n": True, "entries": []}, "positive integer"),
+        ],
+        ids=["bool-index", "bool-weight", "bool-n"],
+    )
+    def test_json_refused(self, obj, needle):
+        with pytest.raises(ValidationError, match=needle):
+            instance_from_bytes(json.dumps(obj).encode())
+
+    def test_restrict_refuses_fractional_and_outside_indices(self):
+        inst = QpRatioInstance(3, ((0, 1, 1.0), (1, 2, 2.0)))
+        with pytest.raises(ValidationError, match="integer indices"):
+            restrict(inst, [0, 1.9])
+        with pytest.raises(ValidationError, match="integer indices"):
+            restrict(inst, [True, 2])
+        with pytest.raises(ValidationError, match="outside"):
+            restrict(inst, [0, 3])
+        sub, kept = restrict(inst, np.array([2, 1], dtype=np.int32))
+        assert kept.tolist() == [1, 2] and sub.entries == ((0, 1, 2.0),)
+
+    def test_bipartition_refuses_fractional_indices(self):
+        with pytest.raises(ParseError, match="bipartition side"):
+            QpRatioInstance(3, ((0, 2, 1.0),), ((0, 1.5), (2,)))

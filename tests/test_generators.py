@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -36,6 +37,55 @@ GOLDEN_GAP_4_SEED_7 = (
     (1, 4, -1.0),
     (1, 5, 1.0),
 )
+
+
+# sha256 (first 32 hex digits) of the canonical entries as little-endian
+# int64 i, int64 j and float64 w columns, recorded from the per-entry
+# generators before they moved to arrays
+GOLDEN_DIGESTS = [
+    (lambda: random_instance(1, 4, 1.0), 0, "e3b0c44298fc1c149afbf4c8996fb924"),
+    (lambda: random_instance(2, 4, 1.0), 1, "06f950fc131764ea53f3c8ac3cdb4054"),
+    (lambda: random_instance(2, 9, 0.3), 0, "e3b0c44298fc1c149afbf4c8996fb924"),
+    (lambda: random_instance(30, 3, 1.0), 435, "4863d6414dae3693599052f49a10da5a"),
+    (lambda: random_instance(60, 5, 0.3), 522, "e5625909c61e686b6f0f555f22c42ee3"),
+    (lambda: random_instance(400, 1, 0.05), 4079, "cc0659ea610e6cc578df4a544b9bf701"),
+    (lambda: gen_level_graph(LevelGraphParams(eps=1.0 / 3.0)), 497676, "48df5a5a60cb9112862f01188c91310e"),
+    (lambda: gen_level_graph(LevelGraphParams(eps=0.5)), 323, "53b24bcce64cd12efe0d7b6c47472d18"),
+    (lambda: gen_planted(PlantedParams(n=64, seed=3))[0], 31, "4024d0360434fad6821318b2a3cc6507"),
+    (lambda: gen_bipartite_gap(16, 5), 64, "049512f8f184665813bbf469aca7ab69"),
+    (lambda: gen_star(7), 7, "f43a4ec216c7c1dc50dc010830b944cc"),
+]
+
+
+def entries_digest(inst) -> str:
+    h = hashlib.sha256()
+    h.update(np.array([e[0] for e in inst.entries], dtype="<i8").tobytes())
+    h.update(np.array([e[1] for e in inst.entries], dtype="<i8").tobytes())
+    h.update(np.array([e[2] for e in inst.entries], dtype="<f8").tobytes())
+    return h.hexdigest()[:32]
+
+
+@pytest.mark.parametrize(
+    "make, count, digest",
+    GOLDEN_DIGESTS,
+    ids=[
+        "random-n1",
+        "random-n2-dense",
+        "random-n2-sparse",
+        "random-n30-d1",
+        "random-n60-d0.3",
+        "random-n400-d0.05",
+        "level-eps1/3",
+        "level-eps1/2",
+        "planted-64",
+        "gap-16",
+        "star-7",
+    ],
+)
+def test_golden_entries(make, count, digest):
+    inst = make()
+    assert len(inst.entries) == count
+    assert entries_digest(inst) == digest
 
 
 class TestStar:

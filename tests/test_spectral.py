@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from qpratio import core
 from qpratio.core import Assignment, QpRatioInstance, eval_normalized_qp_ratio, eval_qp_ratio
 from qpratio.exact import brute_force_qp_ratio
 from qpratio.generators import (
     LevelGraphParams,
+    gen_bipartite_gap,
     gen_level_graph,
     gen_star,
     level_graph_witness_vector,
@@ -22,7 +24,24 @@ from qpratio.spectral import (
     solve_high_opt,
     trevisan_round,
 )
+from qpratio.rounding import solve_general
 from qpratio.util import rng_for
+
+
+def reference_trevisan_round(inst, x):
+    """The one-threshold-at-a-time scan that the sweep replaced."""
+    xv = np.asarray(x, dtype=np.float64).ravel()
+    mags = np.abs(xv)
+    thresholds = np.unique(mags[mags > 0])
+    signs = np.sign(xv).astype(np.int8)
+    best = None
+    for t in thresholds:
+        y = np.where(mags >= t, signs, 0)
+        a = Assignment(tuple(int(v) for v in y))
+        val = eval_normalized_qp_ratio(inst, a)
+        if best is None or val.value > best[1].value:
+            best = (a, val)
+    return best
 
 
 class TestEigenMax:
@@ -175,6 +194,74 @@ class TestTrevisanRound:
         _, v = trevisan_round(inst, level_graph_witness_vector(params))
         assert v.value >= 0.0
         assert v.value <= normalized_eig_value(inst) + 1e-9
+
+
+class TestTrevisanSweep:
+    """The sweep returns the cut and value of the per-threshold scan."""
+
+    @pytest.mark.parametrize("n", [60, 140, 400])
+    def test_random_instances(self, n):
+        for seed in (1, 2):
+            inst = random_instance(n, seed=seed, density=0.3 if n < 200 else 0.05)
+            _, x = normalized_eig(inst, seed=seed)
+            assert trevisan_round(inst, x) == reference_trevisan_round(inst, x)
+
+    @pytest.mark.parametrize("eps", [1.0 / 3.0, 0.5], ids=["eps1/3", "eps1/2"])
+    def test_level_graph(self, eps):
+        params = LevelGraphParams(eps=eps)
+        inst = gen_level_graph(params)
+        _, x = normalized_eig(inst, seed=3)
+        vectors = [x, level_graph_witness_vector(params)]
+        if eps == 0.5:
+            # last-bit noise splits the eigenvector's 4 magnitude levels
+            # into 13 distinct thresholds at this seed
+            assert np.unique(np.abs(x)).size == 13
+        for v in vectors:
+            assert trevisan_round(inst, v) == reference_trevisan_round(inst, v)
+
+    def test_star_and_gap(self):
+        for inst in (gen_star(30), gen_bipartite_gap(64, seed=3)):
+            for seed in (1, 2):
+                _, x = normalized_eig(inst, seed=seed)
+                assert trevisan_round(inst, x) == reference_trevisan_round(inst, x)
+
+    def test_ties_and_zeros(self):
+        # repeated magnitudes, zero coordinates and an isolated vertex
+        inst = QpRatioInstance(6, ((0, 1, 1.0), (1, 2, -1.0), (2, 3, 0.5), (0, 3, -2.0)))
+        rng = rng_for(8)
+        for _ in range(200):
+            x = rng.integers(-2, 3, 6) * 0.5
+            if not np.any(x):
+                continue
+            assert trevisan_round(inst, x) == reference_trevisan_round(inst, x)
+
+
+class TestArrayPath:
+    """The spectral path and solve_general read the instance arrays and never
+    build the entries tuple, the slowest part of an instance at 10^5 entries."""
+
+    @pytest.fixture()
+    def no_entries_tuple(self, monkeypatch):
+        def refuse(self, inst, owner=None):
+            if inst is None:
+                raise AttributeError("entries")
+            raise AssertionError("the entries tuple was built")
+
+        monkeypatch.setattr(core._EntriesField, "__get__", refuse)
+
+    def test_level_graph_spectral_ops(self, no_entries_tuple):
+        inst = gen_level_graph(LevelGraphParams(eps=1.0 / 3.0))
+        assert eig_relaxation_value(inst, seed=1) > 0
+        _, x = normalized_eig(inst, seed=1)
+        trevisan_round(inst, x)
+        solve_high_opt(inst, 0.25, seed=1)
+
+    def test_solve_general(self, no_entries_tuple):
+        solve_general(random_instance(60, seed=1, density=0.3), seed=1)
+
+    def test_guard_sees_a_read(self, no_entries_tuple):
+        with pytest.raises(AssertionError, match="tuple was built"):
+            gen_star(3).entries
 
 
 class TestPsdRound:
