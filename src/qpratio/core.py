@@ -168,36 +168,38 @@ def _entry_problem(ent) -> Optional[str]:
     return None
 
 
-def _triple_columns(entries):
+def _pair_error(k: int, i: int, j: int, n: int) -> ValidationError:
+    """The error for entry k when its pair is diagonal or outside [0, n)."""
+    if i == j:
+        return ValidationError(f"entry {k}: diagonal pair ({i},{j}) is not allowed")
+    return ValidationError(f"entry {k}: index pair ({min(i, j)},{max(i, j)}) outside [0,{n})")
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _triple_columns(n: int, entries):
     """Index and weight columns of a sequence of (i, j, w) triples.
 
-    Returns (i, j, w, error): error is a ParseError naming the first entry
-    that is not an (integer, integer, real) triple, and the columns then
-    cover only the entries before it.  Element types are checked once per
-    distinct type; the per-entry check runs only to locate a bad entry.
+    Returns (i, j, w, error): error names the first entry that is not an
+    (integer, integer, real) triple or has an index past int64 (and so
+    outside [0, n)), and the columns then cover only the entries before it.
     """
-    ents = entries if isinstance(entries, (list, tuple)) else list(entries)
-    try:
-        if set(map(len, ents)) - {3}:
-            raise TypeError
-        cols = tuple(zip(*ents)) or ((), (), ())
-        if not all(_is_real_type(t) for col in cols for t in set(map(type, col))):
-            raise TypeError
-        fi, fj, fw = (np.array(col, dtype=np.float64) for col in cols)
-    except (TypeError, ValueError, OverflowError):
-        p = next(k for k, ent in enumerate(ents) if _entry_problem(ent))
-        ii, jj, ww, _ = _triple_columns(ents[:p])
-        return ii, jj, ww, ParseError(f"entry {p}: {_entry_problem(ents[p])}")
-    bad = ~(np.isfinite(fi) & np.isfinite(fj)) | (fi != np.trunc(fi)) | (fj != np.trunc(fj))
+    ii, jj, ww = [], [], []
     error = None
-    if bad.any():
-        p = int(np.argmax(bad))
-        fi, fj, fw = fi[:p], fj[:p], fw[:p]
-        error = ParseError(f"entry {p}: {_entry_problem(ents[p])}")
-    # indices past +-2^62 are out of range for any instance; the clip keeps
-    # them out of range through the int64 cast
-    ii, jj = (np.clip(f, -(2.0**62), 2.0**62).astype(np.int64) for f in (fi, fj))
-    return ii, jj, fw, error
+    for k, ent in enumerate(entries):
+        problem = _entry_problem(ent)
+        if problem is not None:
+            error = ParseError(f"entry {k}: {problem}")
+            break
+        i, j, w = int(ent[0]), int(ent[1]), float(ent[2])
+        if not (_INT64.min <= i <= _INT64.max and _INT64.min <= j <= _INT64.max):
+            error = _pair_error(k, i, j, n)
+            break
+        ii.append(i)
+        jj.append(j)
+        ww.append(w)
+    return np.array(ii, dtype=np.int64), np.array(jj, dtype=np.int64), np.array(ww, dtype=np.float64), error
 
 
 def _array_columns(arrays: EntryArrays):
@@ -213,20 +215,16 @@ def _array_columns(arrays: EntryArrays):
 
 
 class _CanonicalArrays(EntryArrays):
-    """EntryArrays known to be canonical and read-only, taken without checks."""
+    """EntryArrays that their maker guarantees canonical (int64 0 <= i < j < n
+    sorted by (i, j), finite float64 weights), taken without checks."""
 
-
-def _is_canonical(n: int, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray) -> bool:
-    """Whether the entries are valid and already canonical, checked with a
-    few whole-array passes, so that canonical input skips the sort."""
-    if ii.size == 0:
-        return True
-    if n > 2**31:  # the pair key i n + j below would overflow int64
-        return False
-    if not (np.all(ii < jj) and ii.min() >= 0 and jj.max() < n and np.all(np.isfinite(ww))):
-        return False
-    key = ii * n + jj
-    return bool(np.all(key[1:] > key[:-1]))
+    @classmethod
+    def of(cls, i, j, w) -> "_CanonicalArrays":
+        """The columns cast to int64, int64 and float64 and made read-only."""
+        cols = cls(np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64), np.asarray(w, dtype=np.float64))
+        for col in cols:
+            col.setflags(write=False)
+        return cols
 
 
 def _canonical_entries(n: int, entries) -> EntryArrays:
@@ -241,11 +239,7 @@ def _canonical_entries(n: int, entries) -> EntryArrays:
     if isinstance(entries, EntryArrays):
         ii, jj, ww, error = _array_columns(entries)
     else:
-        ii, jj, ww, error = _triple_columns(entries)
-    if error is None and _is_canonical(n, ii, jj, ww):
-        for col in (ii, jj, ww):
-            col.setflags(write=False)
-        return EntryArrays(ii, jj, ww)
+        ii, jj, ww, error = _triple_columns(n, entries)
     lo, hi = np.minimum(ii, jj), np.maximum(ii, jj)
     diag = ii == jj
     outside = (lo < 0) | (hi >= n)
@@ -260,10 +254,8 @@ def _canonical_entries(n: int, entries) -> EntryArrays:
     if bad.any():
         k = int(np.argmax(bad))
         i, j, w = int(ii[k]), int(jj[k]), float(ww[k])
-        if diag[k]:
-            raise ValidationError(f"entry {k}: diagonal pair ({i},{j}) is not allowed")
-        if outside[k]:
-            raise ValidationError(f"entry {k}: index pair ({min(i, j)},{max(i, j)}) outside [0,{n})")
+        if diag[k] or outside[k]:
+            raise _pair_error(k, i, j, n)
         if nonfinite[k]:
             raise ValidationError(f"entry {k}: weight {w!r} is not finite")
         raise ValidationError(f"entry {k}: duplicate pair ({min(i, j)},{max(i, j)})")
@@ -492,16 +484,11 @@ def trivial_solution(inst: QpRatioInstance) -> tuple[Assignment, RatioValue]:
     if ww.size == 0:
         return Assignment(tuple([0] * inst.n)), RatioValue.of(0.0, 0.0)
     k = int(np.argmax(np.abs(ww)))
-    w = float(ww[k])
     vals = [0] * inst.n
     vals[int(ii[k])] = 1
-    vals[int(jj[k])] = 1 if w >= 0 else -1
+    vals[int(jj[k])] = 1 if ww[k] >= 0 else -1
     a = Assignment(tuple(vals))
-    if w == 0.0:
-        return a, eval_qp_ratio(inst, a)
-    # every other term of the evaluator's sum is a signed zero, so its value
-    # is exactly this one
-    return a, RatioValue.of(2.0 * abs(w), 2.0)
+    return a, eval_qp_ratio(inst, a)
 
 
 def restrict(inst: QpRatioInstance, keep: Sequence[int]) -> tuple[QpRatioInstance, np.ndarray]:
@@ -520,9 +507,7 @@ def restrict(inst: QpRatioInstance, keep: Sequence[int]) -> tuple[QpRatioInstanc
     pi, pj = pos[ii], pos[jj]
     inside = (pi >= 0) & (pj >= 0)
     # the relabel is monotone, so the kept entries stay canonical
-    entries = _CanonicalArrays(*(c[inside] for c in (pi, pj, ww)))
-    for col in entries:
-        col.setflags(write=False)
+    entries = _CanonicalArrays.of(pi[inside], pj[inside], ww[inside])
     bip = None
     if inst.bipartition is not None:
         sides = (pos[list(side)] for side in inst.bipartition)

@@ -17,10 +17,10 @@ import numpy as np
 from .core import (
     Assignment,
     BudgetExceeded,
-    EntryArrays,
     QpRatioInstance,
     RatioValue,
     ValidationError,
+    _CanonicalArrays,
 )
 from .sdp import GramSolution
 from .util import RNG_TAG, rng_for
@@ -37,7 +37,7 @@ def gen_star(leaves: int) -> QpRatioInstance:
     """Unit-weight star: center 0, edges (0, i) for i = 1..leaves."""
     if leaves < 1:
         raise ValidationError(f"a star needs at least one leaf, got {leaves}")
-    entries = EntryArrays(np.zeros(leaves, np.int64), np.arange(1, leaves + 1), np.ones(leaves))
+    entries = _CanonicalArrays.of(np.zeros(leaves), np.arange(1, leaves + 1), np.ones(leaves))
     return QpRatioInstance(leaves + 1, entries, meta=_meta("star", leaves=leaves))
 
 
@@ -65,7 +65,7 @@ def gen_bipartite_gap(n: int, seed: int) -> QpRatioInstance:
         raise ValidationError(f"bipartite gap needs a perfect square n >= 4, got {n}")
     rng = rng_for(seed, 0xB1)
     b = rng.integers(0, 2, size=(s, n)) * 2 - 1
-    entries = EntryArrays(np.repeat(np.arange(s), n), s + np.tile(np.arange(n), s), b.ravel().astype(float))
+    entries = _CanonicalArrays.of(np.repeat(np.arange(s), n), s + np.tile(np.arange(n), s), b.ravel())
     bip = (tuple(range(s)), tuple(range(s, s + n)))
     return QpRatioInstance(s + n, entries, bip, _meta("bipartite_gap", seed, n=n))
 
@@ -144,7 +144,7 @@ def gen_planted(params: PlantedParams) -> tuple[QpRatioInstance, Assignment]:
     rho_r = rng.integers(0, 2, size=r) * 2 - 1
     signs[planted] = np.outer(rho_l, rho_r)
     li, rj = np.nonzero(mask)
-    entries = EntryArrays(li, n + rj, signs[li, rj].astype(np.float64))
+    entries = _CanonicalArrays.of(li, n + rj, signs[li, rj])
     bip = (tuple(range(n)), tuple(range(n, n + r)))
     inst = QpRatioInstance(
         n + r,
@@ -234,7 +234,7 @@ def gen_level_graph(params: LevelGraphParams) -> QpRatioInstance:
     ww = np.where(jj < level_end[ii], -1.0, -(0.5 + params.eps))
     return QpRatioInstance(
         n,
-        EntryArrays(ii, jj, ww),
+        _CanonicalArrays.of(ii, jj, ww),
         meta=_meta(
             "level_graph",
             None,
@@ -386,18 +386,23 @@ def random_instance(n: int, seed: int, density: float = 1.0) -> QpRatioInstance:
         picked = np.arange(pairs)
         u = rng.random(pairs)
     else:
-        picked, u = _density_draws(rng, pairs, density)
+        picked, u = _density_draws(rng, pairs, density, _DRAW_CHUNK)
     # pair p of the row-major order (i < j) lies in row i = the last row
     # that starts at or before p
     rows = np.arange(max(n, 0))
     row_start = rows * (2 * n - rows - 1) // 2
     ii = np.searchsorted(row_start, picked, side="right") - 1
     jj = picked - row_start[ii] + ii + 1
-    entries = EntryArrays(ii, jj, -1.0 + 2.0 * u)
+    entries = _CanonicalArrays.of(ii, jj, -1.0 + 2.0 * u)
     return QpRatioInstance(n, entries, meta=_meta("random", seed, n=n, density=density))
 
 
-def _density_draws(rng: np.random.Generator, pairs: int, density: float):
+# doubles drawn per step of the density scan, which keeps its memory at
+# O(_DRAW_CHUNK + kept pairs) whatever the number of candidate pairs
+_DRAW_CHUNK = 1 << 16
+
+
+def _density_draws(rng: np.random.Generator, pairs: int, density: float, chunk: int):
     """The pairs a density test keeps and their weight draws, as a per-pair
     loop would draw them: each pair draws one double for its test, and a
     kept pair draws the next double for its weight.
@@ -405,11 +410,18 @@ def _density_draws(rng: np.random.Generator, pairs: int, density: float):
     Position k of the stream is a weight draw exactly when position k - 1 is
     a test that passes.  Inside a run of doubles below `density` that starts
     at s, the test and weight roles therefore alternate from s (a test), and
-    the first double after a failed test or a weight is a test again.
+    the first double after a failed test or a weight is a test again.  The
+    stream is scanned `chunk` doubles at a time; a chunk whose last double
+    is a passing test hands the first double of the next chunk its weight.
     """
-    size = int(pairs * (1.0 + density) * 1.05) + 64
-    draws = rng.random(size)
-    while True:
+    picked, weights = [], []
+    done = 0  # pairs whose test has been drawn
+    pending = False  # the last double drawn is a passing test
+    while done < pairs or pending:
+        draws = rng.random(min(chunk, int((pairs - done) * (1.0 + density) * 1.05) + 64))
+        if pending:
+            weights.append(draws[:1].copy())
+            draws = draws[1:]
         below = draws < density
         starts = np.flatnonzero(below & ~np.concatenate([[False], below[:-1]]))
         run_start = np.zeros(draws.size, dtype=np.int64)
@@ -418,11 +430,12 @@ def _density_draws(rng: np.random.Generator, pairs: int, density: float):
         k = np.arange(draws.size)
         weight = np.zeros(draws.size, dtype=bool)
         weight[1:] = below[:-1] & ((k[1:] - run_start[:-1]) % 2 == 1)
-        tests = np.flatnonzero(~weight)
-        # enough draws: every pair's test, plus the last kept pair's weight
-        if tests.size >= pairs and (pairs == 0 or tests[pairs - 1] + 1 < draws.size):
-            break
-        draws = np.concatenate([draws, rng.random(size)])
-    tests = tests[:pairs]
-    kept = below[tests]
-    return np.flatnonzero(kept), draws[tests[kept] + 1]
+        tests = np.flatnonzero(~weight)[: pairs - done]
+        kept = tests[below[tests]]
+        picked.append(done + np.flatnonzero(below[tests]))
+        done += tests.size
+        pending = kept.size > 0 and kept[-1] == draws.size - 1
+        weights.append(draws[kept[:-1] + 1] if pending else draws[kept + 1])
+    if not picked:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
+    return np.concatenate(picked), np.concatenate(weights)

@@ -437,6 +437,27 @@ class TestCoercionRefused:
         with pytest.raises(ValidationError, match=r"^entry 0: diagonal pair"):
             QpRatioInstance(3, [(1, 1, 1.0), (0.5, 2, 1.0)])
 
+    def test_large_integer_index_kept_exact(self):
+        inst = QpRatioInstance(2**60, [(0, 2**53 + 1, 1.0)])
+        assert inst.entries == ((0, 2**53 + 1, 1.0),)
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([(0, 10**30, 1.0)], f"entry 0: index pair (0,{10**30}) outside [0,5)"),
+            ([(-(10**20), 2, 1.0)], f"entry 0: index pair ({-(10**20)},2) outside [0,5)"),
+            ([(10**30, 10**30, 1.0)], f"entry 0: diagonal pair ({10**30},{10**30}) is not allowed"),
+            ([(0, 1, 1.0), (1, 7, 1.0), (0, 10**30, 1.0)], "entry 1: index pair (1,7) outside [0,5)"),
+            ([(0, 1, 1.0), (0, 10**30, 1.0), (1, 1, 1.0)], f"entry 1: index pair (0,{10**30}) outside [0,5)"),
+        ],
+        ids=["past-int64", "below-int64", "diagonal-past-int64", "earlier-entry-first", "before-later-entry"],
+    )
+    def test_out_of_range_message_names_the_input_index(self, entries, message):
+        with pytest.raises(ValidationError) as exc:
+            QpRatioInstance(5, entries)
+        assert str(exc.value) == message
+        assert outcome(reference_normalize, 5, entries) == ("raised", ValidationError, message)
+
     def test_numpy_and_integral_values_accepted(self):
         inst = QpRatioInstance(3, [(np.int64(0), np.int32(2), np.float32(1.5)), (1.0, 2, 3)])
         assert inst.entries == ((0, 2, 1.5), (1, 2, 3.0))

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from qpratio.core import QpRatioInstance, ValidationError, eval_normalized_fractional, eval_qp_ratio
+from qpratio import generators
+from qpratio.core import EntryArrays, QpRatioInstance, ValidationError, eval_normalized_fractional, eval_qp_ratio
 from qpratio.exact import BudgetExceeded, brute_force_qp_ratio
 from qpratio.generators import (
     LevelGraphParams,
@@ -86,6 +87,21 @@ def test_golden_entries(make, count, digest):
     inst = make()
     assert len(inst.entries) == count
     assert entries_digest(inst) == digest
+    # generators hand their arrays over unchecked: validating them again
+    # must find them canonical
+    again = QpRatioInstance(inst.n, EntryArrays(*inst.arrays)).arrays
+    assert all(np.array_equal(a, b) for a, b in zip(again, inst.arrays))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 1000])
+def test_golden_entries_with_small_draw_chunks(monkeypatch, chunk):
+    # a density scan cut into short chunks carries a pending weight draw
+    # across chunk ends and reads the same stream
+    monkeypatch.setattr(generators, "_DRAW_CHUNK", chunk)
+    for make, count, digest in GOLDEN_DIGESTS[:6]:
+        inst = make()
+        assert len(inst.entries) == count
+        assert entries_digest(inst) == digest
 
 
 class TestStar:
