@@ -223,8 +223,8 @@ def gen_level_graph(params: LevelGraphParams) -> QpRatioInstance:
     n = int(ends[-1])
     # vertex u of a level is joined to every later vertex of its level (its
     # clique) and to every vertex of the next level: the partners u+1 .. end
-    # of the next level, one contiguous run, so the rows come out in (i, j)
-    # order with no sort
+    # of the next level, one contiguous run, so the rows come out in the
+    # (i, j) order that the unchecked hand-over below requires
     level_end = np.repeat(ends, sizes)
     u = np.arange(n)
     row_len = np.repeat(np.append(ends[1:], n), sizes) - u - 1
