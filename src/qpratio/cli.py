@@ -59,86 +59,108 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _param(spec: dict, key: str, typ):
-    """spec[key] converted by typ; a missing value names the `gen` flag that sets it.
+def _is_int_list(x, length=None) -> bool:
+    return isinstance(x, list) and length in (None, len(x)) and all(map(_is_int, x))
 
-    An int parameter must already be an integer and a float one a number:
-    int() would run 6.5 as 6 and true as 1, float() true as 1.0 and "0.3"
-    as 0.3.
+
+def _require_int(obj: dict, key: str, path) -> int:
+    value = core._require(obj, key, None, path)
+    if not _is_int(value):
+        raise ParseError(f"{path}: field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _apx_gadget(cycle, graph) -> core.QpRatioInstance:
+    if (cycle is None) == (graph is None):
+        raise ValidationError("family 'apx-gadget' needs exactly one of --cycle and --graph")
+    if cycle is not None:
+        if cycle < 3:
+            raise ValidationError(f"family 'apx-gadget': a cycle needs at least 3 vertices, got {cycle}")
+        return generators.gen_apx_gadget(cycle, [(i, (i + 1) % cycle) for i in range(cycle)], 2)
+    gobj = _load_json_object(graph)
+    n, d = _require_int(gobj, "n", graph), _require_int(gobj, "d", graph)
+    edges = core._require(gobj, "edges", list, graph)
+    if not all(_is_int_list(e, 2) for e in edges):
+        raise ParseError(f"{graph}: each edge must be a pair of integer vertices")
+    return generators.gen_apx_gadget(n, [tuple(e) for e in edges], d)
+
+
+REQUIRED = object()
+_COUNT, _SEED = (int, REQUIRED), (int, 0)
+
+# family -> ({parameter: (type, default or REQUIRED)}, builder).  Parameters
+# carry the generator's keyword names; `gen` takes each as a --flag, `bench`
+# as an item key.  Builders look the generators up when called, so a module
+# attribute rebound after import (a tracer, a test double) is the one run.
+FAMILIES = {
+    "star": ({"leaves": _COUNT}, lambda p: generators.gen_star(**p)),
+    "bipartite-gap": ({"n": _COUNT, "seed": _SEED}, lambda p: generators.gen_bipartite_gap(**p)),
+    "planted": (
+        {"n": _COUNT, "r": (int, None), "p": (float, None), "planted_size": (int, None),
+         "delta": (float, 0.1), "seed": _SEED},
+        lambda p: generators.gen_planted(generators.PlantedParams(**p))[0],
+    ),
+    "level-graph": (
+        {"eps": (float, REQUIRED), "n0": (int, 1)},
+        lambda p: generators.gen_level_graph(generators.LevelGraphParams(**p)),
+    ),
+    "random": ({"n": _COUNT, "seed": _SEED, "density": (float, 1.0)}, lambda p: generators.random_instance(**p)),
+    "apx-gadget": ({"cycle": (int, None), "graph": (str, None)}, lambda p: _apx_gadget(**p)),
+    "kand": ({"n": _COUNT, "m": _COUNT, "k": _COUNT, "seed": _SEED}, lambda p: hardness.gen_kand(**p)),
+}
+_FLAG_TYPES = {key: typ for table, _build in FAMILIES.values() for key, (typ, _default) in table.items()}
+
+# an int parameter must already be a JSON integer and a float one a number:
+# int() would run 6.5 as 6 and true as 1, float() true as 1.0 and "0.3" as 0.3
+_TYPE_CHECKS = {
+    int: (_is_int, "an integer"),
+    float: (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _family(spec: dict, extra=()) -> tuple[dict, object]:
+    """spec's family builder and its keyword arguments, checked against FAMILIES.
+
+    Every key of spec must be a parameter of the family, "family" or one of
+    `extra`; the extra keys are not passed to the builder.
     """
-    value = spec.get(key)
-    if value is None:
-        raise ValidationError(f"family {spec.get('family')!r} needs --{key.replace('_', '-')}")
-    if typ is int and not _is_int(value):
-        raise ValidationError(f"family {spec.get('family')!r}: {key} must be an integer, got {value!r}")
-    if typ is float and not (_is_int(value) or isinstance(value, float)):
-        raise ValidationError(f"family {spec.get('family')!r}: {key} must be a number, got {value!r}")
-    return typ(value)
-
-
-def _param_or(spec: dict, key: str, typ, default):
-    return _param(spec, key, typ) if key in spec else default
-
-
-def _gen_instance(spec: dict) -> core.QpRatioInstance:
     family = spec.get("family")
-    if family == "star":
-        return generators.gen_star(_param(spec, "leaves", int))
-    if family == "bipartite-gap":
-        return generators.gen_bipartite_gap(_param(spec, "n", int), _param_or(spec, "seed", int, 0))
-    if family == "planted":
-        params = generators.PlantedParams(
-            n=_param(spec, "n", int),
-            r=_param_or(spec, "r", int, None),
-            p=_param_or(spec, "p", float, None),
-            planted_size=_param_or(spec, "planted_size", int, None),
-            delta=_param_or(spec, "delta", float, 0.1),
-            seed=_param_or(spec, "seed", int, 0),
-        )
-        return generators.gen_planted(params)[0]
-    if family == "level-graph":
-        return generators.gen_level_graph(
-            generators.LevelGraphParams(eps=_param(spec, "eps", float), n0=_param_or(spec, "n0", int, 1))
-        )
-    if family == "random":
-        return generators.random_instance(
-            _param(spec, "n", int),
-            _param_or(spec, "seed", int, 0),
-            _param_or(spec, "density", float, 1.0),
-        )
-    if family == "apx-gadget":
-        if "cycle" in spec and spec["cycle"]:
-            n = _param(spec, "cycle", int)
-            edges = [(i, (i + 1) % n) for i in range(n)] if n > 2 else []
-            d = 2 if n > 2 else 0
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise ValidationError(f"unknown instance family {family!r}")
+    table, build = FAMILIES[family]
+    unknown = sorted(set(spec) - set(table) - {"family", *extra})
+    if unknown:
+        raise ValidationError(f"family {family!r} does not take {_flag(unknown[0])}")
+    params = {}
+    for key, (typ, default) in table.items():
+        if key in spec:
+            check, what = _TYPE_CHECKS[typ]
+            if not check(spec[key]):
+                raise ValidationError(f"family {family!r}: {key} must be {what}, got {spec[key]!r}")
+            params[key] = typ(spec[key])
+        elif default is REQUIRED:
+            raise ValidationError(f"family {family!r} needs {_flag(key)}")
         else:
-            path = _param(spec, "graph", str)
-            gobj = _load_json_object(path)
-            n = core._require(gobj, "n", int, path)
-            edges = [tuple(e) for e in core._require(gobj, "edges", list, path)]
-            d = core._require(gobj, "d", int, path)
-        return generators.gen_apx_gadget(n, edges, d)
-    raise ValidationError(f"unknown instance family {family!r}")
+            params[key] = default
+    return params, build
 
 
 def cmd_gen(args) -> int:
-    spec = {k: v for k, v in vars(args).items() if k not in ("func", "out") and v is not None}
+    spec = {key: value for key, value in vars(args).items() if key in _FLAG_TYPES and value is not None}
     spec["family"] = args.family
+    params, build = _family(spec)
+    inst = build(params)
     if args.family == "kand":
-        n, m, k = (_param(spec, key, int) for key in ("n", "m", "k"))
-        inst = hardness.gen_kand(n, m, k, args.seed)
-        obj = {
-            "kind": "kand",
-            "n": inst.n,
-            "k": inst.k,
-            "clauses": [[[v, s] for v, s in clause] for clause in inst.clauses],
-            "meta": {"seed": args.seed},
-        }
+        clauses = [[list(lit) for lit in clause] for clause in inst.clauses]
+        obj = {"kind": "kand", "n": inst.n, "k": inst.k, "clauses": clauses, "meta": {"seed": params["seed"]}}
         with open(args.out, "w") as fh:
-            json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+            fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
     else:
-        inst = _gen_instance(spec)
         core.save_instance(inst, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -199,19 +221,10 @@ def cmd_solve(args) -> int:
     a, val = _run_algo(inst, args.algo, args.seed, args.eps)
     runtime_ms = int(round(1000 * (time.perf_counter() - t0)))
     bound, bound_kind = _bound_for(inst, args.cap, normalized=(args.algo == "trevisan"))
-    meta = inst.meta or {}
+    family = (inst.meta or {}).get("family", "file")
     row = _result_row(
-        os.path.basename(args.instance),
-        meta.get("family", "file"),
-        inst.n,
-        args.seed,
-        args.algo,
-        val.value,
-        bound,
-        bound_kind,
-        a.support,
-        runtime_ms,
-        "ok",
+        os.path.basename(args.instance), family, inst.n, args.seed, args.algo,
+        val.value, bound, bound_kind, a.support, runtime_ms, "ok",
     )
     out = _csv_writer(sys.stdout)
     out.writeheader()
@@ -230,13 +243,11 @@ def cmd_exact(args) -> int:
     inst = core.load_instance(args.instance)
     if isinstance(inst, core.QpIntermediateInstance):
         x, val = exact.grid_search_intermediate(inst, eps=args.grid_eps, cap=args.cap)
-        print(f"optimum {val.value:.12g} (numerator {val.numerator:.12g}, denominator {val.denominator:.12g})")
-        print("argmax", list(x.values))
-        return 0
-    oracle = exact.brute_force_normalized if args.normalized else exact.brute_force_qp_ratio
-    a, val = oracle(inst, cap=args.cap)
+    else:
+        oracle = exact.brute_force_normalized if args.normalized else exact.brute_force_qp_ratio
+        x, val = oracle(inst, cap=args.cap)
     print(f"optimum {val.value:.12g} (numerator {val.numerator:.12g}, denominator {val.denominator:.12g})")
-    print("argmax", list(a.values))
+    print("argmax", list(x.values))
     return 0
 
 
@@ -282,26 +293,22 @@ def _load_kand(path) -> hardness.KAndInstance:
     obj = _load_json_object(path)
     if obj.get("kind") != "kand":
         raise ParseError(f"{path}: expected kind 'kand'")
-    n, k = core._require(obj, "n", int, path), core._require(obj, "k", int, path)
+    n, k = _require_int(obj, "n", path), _require_int(obj, "k", path)
     clauses = core._require(obj, "clauses", list, path)
-    try:
-        clauses = tuple(tuple((int(v), int(s)) for v, s in clause) for clause in clauses)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: each clause must be a list of [variable, sign] pairs") from exc
-    return hardness.KAndInstance(n, k, clauses)
+    if not all(isinstance(clause, list) and all(_is_int_list(lit, 2) for lit in clause) for clause in clauses):
+        raise ParseError(f"{path}: each clause must be a list of integer [variable, sign] pairs")
+    return hardness.KAndInstance(n, k, tuple(tuple(map(tuple, clause)) for clause in clauses))
 
 
 def _load_ug(path) -> hardness.UgInstance:
     obj = _load_json_object(path)
     if obj.get("kind") != "ratio_ug":
         raise ParseError(f"{path}: expected kind 'ratio_ug'")
-    vertices, alphabet = core._require(obj, "vertices", int, path), core._require(obj, "alphabet", int, path)
+    vertices, alphabet = _require_int(obj, "vertices", path), _require_int(obj, "alphabet", path)
     edges = core._require(obj, "edges", list, path)
-    try:
-        edges = tuple((int(u), int(v), tuple(int(x) for x in perm)) for u, v, perm in edges)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: each edge must be [u, v, permutation]") from exc
-    return hardness.UgInstance(vertices, alphabet, edges)
+    if not all(isinstance(e, list) and len(e) == 3 and _is_int_list(e[:2]) and _is_int_list(e[2]) for e in edges):
+        raise ParseError(f"{path}: each edge must be [u, v, permutation] of integers")
+    return hardness.UgInstance(vertices, alphabet, tuple((u, v, tuple(perm)) for u, v, perm in edges))
 
 
 def cmd_reduce(args) -> int:
@@ -334,31 +341,29 @@ def cmd_reduce(args) -> int:
 def _bench_one(item, algos, cap, seed):
     family = item.get("family", "?")
     iid = item.get("id") or "-".join(
-        [family] + [f"{k}{item[k]}" for k in sorted(item) if k not in ("family", "id")]
+        [str(family)] + [f"{k}{item[k]}" for k in sorted(item) if k not in ("family", "id")]
     )
-    rows = []
+    seed = item.get("seed", seed)
+
+    def failed(n, algo, exc):
+        return _result_row(iid, family, n, seed, algo, "", "", "", "", "", f"error:{type(exc).__name__}")
+
     try:
-        inst = _gen_instance(item)
-        bound, bound_kind = _bound_for(inst, cap, normalized=False)
+        if family == "kand":
+            raise ValidationError("family 'kand' builds clauses, not a ratio instance")
+        params, build = _family(item, extra=("id", "seed"))
+        inst = build(params)
+        bound = _bound_for(inst, cap, normalized=False)
     except Exception as exc:  # noqa: BLE001 - recorded per-row
-        for algo in algos:
-            rows.append(
-                _result_row(iid, family, "", item.get("seed", seed), algo, "", "", "", "", "", f"error:{type(exc).__name__}")
-            )
-        return rows
+        return [failed("", algo, exc) for algo in algos]
+    rows = []
     for algo in algos:
         try:
-            nb, nk = (bound, bound_kind)
-            if algo == "trevisan":
-                nb, nk = _bound_for(inst, cap, normalized=True)
-            a, val = _run_algo(inst, algo, item.get("seed", seed), eps=0.25)
-            rows.append(
-                _result_row(iid, family, inst.n, item.get("seed", seed), algo, val.value, nb, nk, a.support, "", "ok")
-            )
+            nb, nk = _bound_for(inst, cap, normalized=True) if algo == "trevisan" else bound
+            a, val = _run_algo(inst, algo, seed, eps=0.25)
+            rows.append(_result_row(iid, family, inst.n, seed, algo, val.value, nb, nk, a.support, "", "ok"))
         except (ValidationError, BudgetExceeded, spectral.ConvergenceError) as exc:
-            rows.append(
-                _result_row(iid, family, inst.n, item.get("seed", seed), algo, "", "", "", "", "", f"error:{type(exc).__name__}")
-            )
+            rows.append(failed(inst.n, algo, exc))
     return rows
 
 
@@ -448,22 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate an instance file")
-    g.add_argument("family", choices=["star", "bipartite-gap", "planted", "level-graph", "random", "apx-gadget", "kand"])
+    g.add_argument("family", choices=list(FAMILIES))
     g.add_argument("--out", required=True)
-    g.add_argument("--leaves", type=int)
-    g.add_argument("--n", type=int)
-    g.add_argument("--m", type=int)
-    g.add_argument("--k", type=int)
-    g.add_argument("--r", type=int)
-    g.add_argument("--p", type=float)
-    g.add_argument("--planted-size", dest="planted_size", type=int)
-    g.add_argument("--delta", type=float)
-    g.add_argument("--eps", type=float)
-    g.add_argument("--n0", type=int)
-    g.add_argument("--density", type=float)
-    g.add_argument("--cycle", type=int)
-    g.add_argument("--graph")
-    g.add_argument("--seed", type=int, default=0)
+    for key, typ in _FLAG_TYPES.items():
+        takers = ", ".join(name for name, (table, _build) in FAMILIES.items() if key in table)
+        g.add_argument(_flag(key), dest=key, type=typ, help=f"taken by: {takers}")
     g.set_defaults(func=cmd_gen)
 
     s = sub.add_parser("solve", help="run a rounding algorithm on an instance file")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
@@ -315,12 +315,14 @@ class _EntriesField:
         inst.__dict__["_entries_input"] = value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _SymmetricInstance:
     """Symmetric n x n matrix with its off-diagonal part stored as i < j entries.
 
     The constructor takes the entries as a sequence of (i, j, w) triples or
-    as EntryArrays; `arrays` holds them canonical.
+    as EntryArrays; `arrays` holds them canonical.  Two instances are equal
+    when they are of one class and agree in n, the arrays and the fields
+    after `entries`; neither `==` nor `hash` builds the entries tuple.
     """
 
     n: int
@@ -331,6 +333,23 @@ class _SymmetricInstance:
             raise ValidationError(f"instance size must be a positive integer, got {self.n!r}")
         arrays = _canonical_entries(self.n, self.__dict__.pop("_entries_input"))
         object.__setattr__(self, "arrays", arrays)
+
+    def _other_fields(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self)[2:])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.n == other.n
+            and all(np.array_equal(a, b) for a, b in zip(self.arrays, other.arrays))
+            and self._other_fields() == other._other_fields()
+        )
+
+    def __hash__(self):
+        # + 0.0 turns a -0.0 weight into 0.0, which it equals
+        i, j, w = self.arrays
+        return hash((self.n, i.tobytes(), j.tobytes(), (w + 0.0).tobytes(), self._other_fields()))
 
     @property
     def nnz(self) -> int:
@@ -358,7 +377,7 @@ class _SymmetricInstance:
         return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QpRatioInstance(_SymmetricInstance):
     """Symmetric weight matrix with zero diagonal, stored as i < j entries."""
 
@@ -389,7 +408,7 @@ class QpRatioInstance(_SymmetricInstance):
             object.__setattr__(self, "bipartition", (left, right))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QpIntermediateInstance(_SymmetricInstance):
     """Symmetric matrix with a nonpositive diagonal; variables range over [-1,1]."""
 

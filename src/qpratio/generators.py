@@ -60,9 +60,9 @@ def gen_bipartite_gap(n: int, seed: int) -> QpRatioInstance:
     Left side occupies indices [0, sqrt(n)), right side the following n; every
     cross pair gets an i.i.d. uniform +-1 weight.
     """
-    s = math.isqrt(n)
-    if s * s != n or n < 4:
+    if n < 4 or math.isqrt(n) ** 2 != n:
         raise ValidationError(f"bipartite gap needs a perfect square n >= 4, got {n}")
+    s = math.isqrt(n)
     rng = rng_for(seed, 0xB1)
     b = rng.integers(0, 2, size=(s, n)) * 2 - 1
     entries = _CanonicalArrays.of(np.repeat(np.arange(s), n), s + np.tile(np.arange(n), s), b.ravel())
@@ -129,8 +129,8 @@ class PlantedParams:
             object.__setattr__(self, "p", self.n ** (self.delta - 1.0))
         if not (0 < self.p <= 1):
             raise ValidationError(f"edge probability must be in (0,1], got {self.p}")
-        if self.r > self.n or self.planted_size > self.n:
-            raise ValidationError("r and planted_size must not exceed n")
+        if not (0 <= self.r <= self.n and 0 <= self.planted_size <= self.n):
+            raise ValidationError(f"r and planted_size must lie in [0, n], got {self.r} and {self.planted_size}")
 
 
 def gen_planted(params: PlantedParams) -> tuple[QpRatioInstance, Assignment]:

@@ -156,6 +156,13 @@ def check_linear_l1(f: BoolFn) -> tuple[bool, float]:
 # k-AND instances and their bipartite ratio reduction.
 # ---------------------------------------------------------------------------
 
+def _check_kand_shape(n: int, m: int, k: int) -> None:
+    if n < 1 or k < 1 or k > n:
+        raise ValidationError(f"bad clause shape: n={n}, k={k}")
+    if m < 1:
+        raise ValidationError("a k-AND instance needs at least one clause")
+
+
 @dataclass(frozen=True)
 class KAndInstance:
     """m clauses of k signed literals each; literal (v, s) asks x_v = s."""
@@ -165,10 +172,7 @@ class KAndInstance:
     clauses: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
-        if self.n < 1 or self.k < 1 or self.k > self.n:
-            raise ValidationError(f"bad clause shape: n={self.n}, k={self.k}")
-        if not self.clauses:
-            raise ValidationError("a k-AND instance needs at least one clause")
+        _check_kand_shape(self.n, self.m, self.k)
         for cidx, clause in enumerate(self.clauses):
             if len(clause) != self.k:
                 raise ValidationError(f"clause {cidx} has {len(clause)} literals, expected {self.k}")
@@ -197,6 +201,7 @@ def gen_kand(
 ) -> KAndInstance:
     """Random clauses; optionally the first round(alpha*m) clauses are made
     fully satisfied by `planted` (their literal signs are copied from it)."""
+    _check_kand_shape(n, m, k)
     rng = rng_for(seed, 0x6A)
     planted_count = 0
     pl = None

@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from qpratio import spectral
+from qpratio import cli, generators, spectral
 from qpratio.cli import main
-from qpratio.core import QpIntermediateInstance, load_instance, save_instance
+from qpratio.core import QpIntermediateInstance, instance_to_bytes, load_instance, save_instance
 from qpratio.generators import gen_star, random_instance
 
 
@@ -39,6 +39,43 @@ class TestGen:
         with pytest.raises(SystemExit) as exc:
             main(["gen", "nosuch", "--out", str(tmp_path / "x.json")])
         assert exc.value.code == 2
+
+    def test_builders_look_up_generators_when_called(self, tmp_path, monkeypatch):
+        calls = []
+        real = generators.gen_star
+        monkeypatch.setattr(generators, "gen_star", lambda leaves: calls.append(leaves) or real(leaves))
+        assert main(["gen", "star", "--leaves", "3", "--out", str(tmp_path / "s.json")]) == 0
+        assert calls == [3]
+
+
+# one set of keys per family that a bench item takes: its required keys, and
+# for apx-gadget (which requires none) a cycle
+FAMILY_KEYS = {
+    "star": {"leaves": 4},
+    "bipartite-gap": {"n": 9},
+    "planted": {"n": 12},
+    "level-graph": {"eps": 0.5},
+    "random": {"n": 7},
+    "apx-gadget": {"cycle": 5},
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_KEYS))
+def test_gen_and_bench_build_one_instance(tmp_path, family):
+    keys = FAMILY_KEYS[family]
+    table, _ = cli.FAMILIES[family]
+    assert {k for k, (_, default) in table.items() if default is cli.REQUIRED} <= set(keys)
+    path = tmp_path / "inst.json"
+    flags = [arg for k, v in keys.items() for arg in (cli._flag(k), str(v))]
+    assert main(["gen", family, *flags, "--out", str(path)]) == 0
+    params, build = cli._family({"family": family, "id": "x", "seed": 3, **keys}, extra=("id", "seed"))
+    if "seed" in table:
+        params["seed"] = 0  # the seed gen uses when --seed is not given
+    assert instance_to_bytes(build(params)) == path.read_bytes()
+
+
+def test_every_bench_family_has_agreement_keys():
+    assert set(FAMILY_KEYS) == set(cli.FAMILIES) - {"kand"}
 
 
 class TestSolve:
@@ -240,6 +277,64 @@ class TestBench:
     def test_non_number_float_parameter_is_a_row_status(self, tmp_path, item):
         self.assert_bad_item_is_a_row_status(tmp_path, item)
 
+    @pytest.mark.parametrize(
+        "item",
+        [
+            {"family": "random", "n": 6, "densty": 0.3, "seed": 2},
+            {"family": "star", "leaves": 4, "n": 99},
+            {"family": "level-graph", "eps": 0.5, "n": 3},
+            {"family": "kand", "n": 6, "m": 4, "k": 3},
+            {"family": "planted", "n": 16, "seed": 1, "r": -1},
+            {"family": "planted", "n": 16, "seed": 1, "planted_size": -1},
+            {"family": "bipartite-gap", "n": -4, "seed": 1},
+            {"family": "apx-gadget", "cycle": 0},
+            {"family": "apx-gadget", "cycle": False},
+            {"family": "apx-gadget", "cycle": 1},
+            {"family": "apx-gadget", "cycle": 2},
+            {"family": "apx-gadget", "graph": 5},
+            {"family": "apx-gadget"},
+            {"family": "apx-gadget", "cycle": 5, "graph": "g.json"},
+            {"family": 5, "n": 3},
+        ],
+        ids=[
+            "random-misspelled-key",
+            "star-with-n",
+            "level-graph-with-n",
+            "kand-not-a-ratio-family",
+            "planted-negative-r",
+            "planted-negative-planted-size",
+            "bipartite-gap-negative-n",
+            "apx-gadget-cycle-zero",
+            "apx-gadget-cycle-false",
+            "apx-gadget-cycle-one",
+            "apx-gadget-cycle-two",
+            "apx-gadget-graph-not-string",
+            "apx-gadget-neither",
+            "apx-gadget-both",
+            "family-not-a-string",
+        ],
+    )
+    def test_key_the_family_refuses_is_a_row_status(self, tmp_path, item):
+        self.assert_bad_item_is_a_row_status(tmp_path, item)
+
+    def test_seed_and_id_are_taken_by_every_item(self, tmp_path):
+        cfg, csv_path, _ = self.make_config(tmp_path)
+        obj = json.loads(cfg.read_text())
+        obj["instances"] = [
+            {"family": "star", "leaves": 5, "seed": 4},
+            {"family": "level-graph", "eps": 0.5, "id": "lg"},
+        ]
+        cfg.write_text(json.dumps(obj))
+        assert main(["bench", str(cfg)]) == 0
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["instance_id"], r["seed"], r["status"]) for r in rows] == [
+            ("lg", "1", "ok"),
+            ("lg", "1", "ok"),
+            ("star-leaves5-seed4", "4", "ok"),
+            ("star-leaves5-seed4", "4", "ok"),
+        ]
+
     def assert_bad_item_is_a_row_status(self, tmp_path, item):
         cfg, csv_path, _ = self.make_config(tmp_path)
         obj = json.loads(cfg.read_text())
@@ -400,6 +495,60 @@ class TestBadInput:
                 {"k.json": '{"kind": "kand", "n": 6, "k": 3, "clauses": []}'},
                 "at least one clause",
             ),
+            (["gen", "star", "--leaves", "3", "--density", "0.3", "--out", "o.json"], {}, "does not take --density"),
+            (["gen", "star", "--leaves", "3", "--n", "77", "--out", "o.json"], {}, "does not take --n"),
+            (["gen", "star", "--leaves", "3", "--seed", "1", "--out", "o.json"], {}, "does not take --seed"),
+            (["gen", "level-graph", "--eps", "0.5", "--density", "0.3", "--out", "o.json"], {}, "--density"),
+            (["gen", "planted", "--n", "16", "--r", "-1", "--out", "o.json"], {}, "r and planted_size"),
+            (["gen", "planted", "--n", "16", "--planted-size", "-1", "--out", "o.json"], {}, "r and planted_size"),
+            (["gen", "bipartite-gap", "--n", "-4", "--out", "o.json"], {}, "perfect square"),
+            (["gen", "kand", "--n", "4", "--m", "2", "--k", "-1", "--out", "o.json"], {}, "bad clause shape"),
+            (["gen", "kand", "--n", "-1", "--m", "2", "--k", "1", "--out", "o.json"], {}, "bad clause shape"),
+            (["gen", "kand", "--n", "2", "--m", "2", "--k", "3", "--out", "o.json"], {}, "bad clause shape"),
+            (["gen", "apx-gadget", "--cycle", "0", "--out", "o.json"], {}, "at least 3 vertices"),
+            (["gen", "apx-gadget", "--cycle", "2", "--out", "o.json"], {}, "at least 3 vertices"),
+            (["gen", "apx-gadget", "--out", "o.json"], {}, "exactly one of --cycle and --graph"),
+            (["gen", "apx-gadget", "--cycle", "4", "--graph", "g.json", "--out", "o.json"], {}, "exactly one"),
+            (
+                ["gen", "apx-gadget", "--graph", "g.json", "--out", "o.json"],
+                {"g.json": '{"n": true, "d": 0, "edges": []}'},
+                "'n' must be an integer",
+            ),
+            (
+                ["gen", "apx-gadget", "--graph", "g.json", "--out", "o.json"],
+                {"g.json": '{"n": 3, "d": 1, "edges": [[0, 1.7]]}'},
+                "each edge",
+            ),
+            (
+                ["gen", "apx-gadget", "--graph", "g.json", "--out", "o.json"],
+                {"g.json": '{"n": 3, "d": 1, "edges": [[0]]}'},
+                "each edge",
+            ),
+            (
+                ["reduce", "k.json", "--from", "kand", "--out", "out.json"],
+                {"k.json": '{"kind": "kand", "n": 4, "k": 2, "clauses": [[[0.9, 1], [2, 1]]]}'},
+                "each clause",
+            ),
+            (
+                ["reduce", "k.json", "--from", "kand", "--out", "out.json"],
+                {"k.json": '{"kind": "kand", "n": 4, "k": 2, "clauses": [[[0, 1], [2, true]]]}'},
+                "each clause",
+            ),
+            (
+                ["reduce", "k.json", "--from", "kand", "--out", "out.json"],
+                {"k.json": '{"kind": "kand", "n": true, "k": 1, "clauses": [[[0, 1]]]}'},
+                "'n' must be an integer",
+            ),
+            (
+                ["reduce", "u.json", "--from", "ug", "--out", "out.json"],
+                {"u.json": '{"kind": "ratio_ug", "vertices": 2, "alphabet": 2, "edges": [[0, 1, [0, true]]]}'},
+                "each edge",
+            ),
+            (
+                ["reduce", "u.json", "--from", "ug", "--out", "out.json"],
+                {"u.json": '{"kind": "ratio_ug", "vertices": 2, "alphabet": 2, "edges": [[0, 1.5, [0, 1]]]}'},
+                "each edge",
+            ),
         ],
         ids=[
             "null-weight",
@@ -434,6 +583,28 @@ class TestBadInput:
             "bench-cap-fractional",
             "gen-kand-zero-clauses",
             "reduce-kand-zero-clauses",
+            "gen-star-density",
+            "gen-star-n",
+            "gen-star-seed",
+            "gen-level-graph-density",
+            "gen-planted-negative-r",
+            "gen-planted-negative-planted-size",
+            "gen-bipartite-gap-negative-n",
+            "gen-kand-negative-k",
+            "gen-kand-negative-n",
+            "gen-kand-k-above-n",
+            "gen-apx-gadget-cycle-zero",
+            "gen-apx-gadget-cycle-two",
+            "gen-apx-gadget-neither",
+            "gen-apx-gadget-both",
+            "gen-apx-gadget-graph-bool-n",
+            "gen-apx-gadget-graph-fractional-edge",
+            "gen-apx-gadget-graph-short-edge",
+            "reduce-kand-fractional-variable",
+            "reduce-kand-bool-sign",
+            "reduce-kand-bool-n",
+            "reduce-ug-bool-permutation",
+            "reduce-ug-fractional-vertex",
         ],
     )
     def test_exits_2(self, tmp_path, monkeypatch, capsys, argv, files, needle):

@@ -235,6 +235,26 @@ class TestInstanceBase:
         assert ratio.entries == inter.entries
         assert ratio != inter and inter != ratio
 
+    def test_equality_and_hash_without_the_entries_tuple(self):
+        neg = QpRatioInstance(4, ((0, 1, -0.0), (2, 3, 1.0)))
+        pos = QpRatioInstance(4, ((2, 3, 1.0), (0, 1, 0.0)))
+        ratio = QpRatioInstance(4, self.ENTRIES)
+        inter = QpIntermediateInstance(4, self.ENTRIES, (0.0,) * 4)
+        assert neg == pos and hash(neg) == hash(pos) and {neg: "x"}[pos] == "x"
+        assert ratio != inter and inter != ratio
+        assert inter == QpIntermediateInstance(4, self.ENTRIES, (-0.0,) * 4)
+        assert inter != QpIntermediateInstance(4, self.ENTRIES, (0.0, 0.0, 0.0, -1.0))
+        assert ratio != QpRatioInstance(4, self.ENTRIES[:2])
+        assert ratio != QpRatioInstance(5, self.ENTRIES)
+        assert ratio != QpRatioInstance(4, ((0, 1, 1.5), (0, 3, -2.0), (2, 3, 0.5)))
+        assert QpRatioInstance(3, ((0, 2, 1.0),), ((0,), (2,))) != QpRatioInstance(3, ((0, 2, 1.0),), ((0, 1), (2,)))
+        with_meta = QpRatioInstance(4, self.ENTRIES, meta={"seed": 1})
+        assert with_meta == QpRatioInstance(4, self.ENTRIES, meta={"seed": 1}) != ratio
+        with pytest.raises(TypeError):
+            hash(with_meta)
+        for inst in (neg, pos, ratio, inter, with_meta):
+            assert "_entries_tuple" not in inst.__dict__
+
     def test_entries_are_a_hashable_tuple(self):
         inst = QpRatioInstance(4, [[3, 2, 0.25], [0, 1, 1.5], [0, 3, -2.0]])
         assert isinstance(inst.entries, tuple)
