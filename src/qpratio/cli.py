@@ -328,7 +328,10 @@ def cmd_reduce(args) -> int:
     meta = dict(out.meta or {})
     meta["source_file"] = os.path.basename(args.input)
     meta["source_sha256_16"] = source_hash
-    out = dataclasses.replace(out, meta=meta)
+    # rebuilt from the arrays: dataclasses.replace would read, and so build,
+    # the whole entries tuple
+    rest = {f.name: getattr(out, f.name) for f in dataclasses.fields(out)[2:]}
+    out = type(out)(out.n, out.arrays, **{**rest, "meta": meta})
     core.save_instance(out, args.out)
     print(f"wrote {args.out} ({out.n} variables, {out.nnz} entries)")
     return 0

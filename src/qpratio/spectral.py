@@ -1,6 +1,11 @@
 """Symmetric eigensolver and the eigenvalue-relaxation pipelines.
 
-Eigenvalues come from dense LAPACK solves (numpy.linalg.eigh and eigvalsh).
+Everything here is dense numpy LAPACK, and each caller computes only what it
+reads.  The bounds take the top eigenvalue from numpy.linalg.eigvalsh alone.
+eigen_max adds the top eigenvector by one inverse-iteration solve when the
+top eigenvalue is simple, and falls back to a full numpy.linalg.eigh only for
+a repeated top eigenvalue.  scipy is not imported: its sparse eigensolver
+costs more to import than these dense solves take at n <= 1100.
 
 The relaxation value for the plain ratio is the top eigenvalue of the weight
 matrix; for the degree-normalized ratio it is the top eigenvalue of the
@@ -55,14 +60,19 @@ def _max_asymmetry(a: np.ndarray) -> float:
 
 
 def eigen_max(matrix, tol: float = 1e-10, seed: int = 0) -> EigenResult:
-    """Largest (signed) eigenvalue of a symmetric matrix by a dense eigh.
+    """Largest (signed) eigenvalue of a symmetric matrix and its eigenvector.
 
-    The vector is the seeded start projected onto the eigenvectors whose
-    eigenvalues lie within tol of the largest, normalized: the direction a
-    power iteration from that start converges to, so a repeated top
-    eigenvalue gives the same seed-dependent vector.  The returned residual is
-    ||A v - lambda v||_2; a residual above tol raises with that residual.
-    The smallest eigenvalue comes from the same eigh.
+    One eigvalsh gives the largest and smallest eigenvalues.  The vector is
+    the seeded start projected onto the eigenvectors whose eigenvalues lie
+    within tol of the largest, normalized: the direction a power iteration
+    from that start converges to, so a repeated top eigenvalue gives the same
+    seed-dependent vector.  When the top eigenvalue is simple that projection
+    is the solution of (lambda I - A) v = start, normalized and signed so that
+    v . start > 0 (one step of inverse iteration at the computed eigenvalue);
+    a repeated top eigenvalue, a singular solve or a solve that misses tol
+    projects onto the eigenvectors of a full eigh instead.  The returned
+    residual is ||A v - lambda v||_2; a residual above tol raises with that
+    residual.
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -72,22 +82,64 @@ def eigen_max(matrix, tol: float = 1e-10, seed: int = 0) -> EigenResult:
     if asym > 1e-9 and asym > 1e-9 * (1.0 + float(np.max(np.abs(a)))):
         raise ValidationError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
 
-    w, vecs = np.linalg.eigh(a)
+    w = np.linalg.eigvalsh(a)
     lam = float(w[-1])
-    top = vecs[:, w >= lam - tol]
-    v = top @ (top.T @ rng_for(seed, 0x51).standard_normal(n))
-    v /= np.linalg.norm(v)
-    res = float(np.linalg.norm(a @ v - lam * v))
+    start = rng_for(seed, 0x51).standard_normal(n)
+    res = math.inf
+    if n > 1 and w[-2] < lam - tol:
+        v = _inverse_iteration(a, lam, start)
+        if v is not None:
+            res = float(np.linalg.norm(a @ v - lam * v))
+    if not res <= tol:
+        wv, vecs = np.linalg.eigh(a)
+        top = vecs[:, wv >= wv[-1] - tol]
+        v = top @ (top.T @ start)
+        v /= np.linalg.norm(v)
+        res = float(np.linalg.norm(a @ v - lam * v))
     if res > tol:
         raise ConvergenceError(f"eigh residual {res:.3e} is above tol={tol}", res)
     return EigenResult(lam, v, 1, res, float(w[0]))
 
 
+def _inverse_iteration(a: np.ndarray, lam: float, start: np.ndarray) -> np.ndarray | None:
+    """The solution of (lam I - a) v = start, normalized with v . start > 0,
+    or None when the solve is singular or does not give a finite direction."""
+    shifted = -a
+    shifted.flat[:: a.shape[0] + 1] += lam
+    try:
+        v = np.linalg.solve(shifted, start)
+    except np.linalg.LinAlgError:
+        return None
+    norm = float(np.linalg.norm(v))
+    if not 0.0 < norm < math.inf:
+        return None
+    v /= math.copysign(norm, float(v @ start))
+    return v
+
+
 def eig_relaxation_value(inst: QpRatioInstance, seed: int = 0) -> float:
-    """Top eigenvalue of the weight matrix; upper-bounds the integer optimum."""
+    """Top eigenvalue of the weight matrix; upper-bounds the integer optimum.
+
+    seed is unused (the value needs no eigenvector); it is kept for callers
+    that pass one.
+    """
     if not inst.nnz:
         return 0.0
-    return eigen_max(inst.to_dense(), seed=seed).lambda_max
+    return float(np.linalg.eigvalsh(inst.to_dense())[-1])
+
+
+def _normalized_matrix(inst: QpRatioInstance):
+    """D^{-1/2} A D^{-1/2} over the vertices of nonzero degree, with those
+    vertices and D^{-1/2} on them; None when every degree is zero."""
+    keep = np.nonzero(degrees(inst) > 0)[0]
+    if keep.size == 0:
+        return None
+    sub, kept = restrict(inst, keep)
+    inv_sqrt = 1.0 / np.sqrt(degrees(sub))
+    s = sub.to_dense()
+    s *= inv_sqrt[:, None]
+    s *= inv_sqrt[None, :]
+    return s, kept, inv_sqrt
 
 
 def normalized_eig(inst: QpRatioInstance, seed: int = 0) -> tuple[float, np.ndarray]:
@@ -96,16 +148,10 @@ def normalized_eig(inst: QpRatioInstance, seed: int = 0) -> tuple[float, np.ndar
     Zero-degree vertices are deleted before normalizing; the witness is padded
     back with zeros and satisfies x^T A x / x^T D x = lambda.
     """
-    d = degrees(inst)
-    keep = np.nonzero(d > 0)[0]
-    if keep.size == 0:
+    norm = _normalized_matrix(inst)
+    if norm is None:
         return 0.0, np.zeros(inst.n)
-    sub, kept = restrict(inst, keep)
-    dsub = degrees(sub)
-    inv_sqrt = 1.0 / np.sqrt(dsub)
-    s = sub.to_dense()
-    s *= inv_sqrt[:, None]
-    s *= inv_sqrt[None, :]
+    s, kept, inv_sqrt = norm
     res = eigen_max(s, seed=seed)
     x = np.zeros(inst.n)
     x[kept] = res.vector * inv_sqrt
@@ -113,7 +159,11 @@ def normalized_eig(inst: QpRatioInstance, seed: int = 0) -> tuple[float, np.ndar
 
 
 def normalized_eig_value(inst: QpRatioInstance, seed: int = 0) -> float:
-    return normalized_eig(inst, seed=seed)[0]
+    """Top eigenvalue of D^{-1/2} A D^{-1/2} (0 without edges); seed is unused."""
+    norm = _normalized_matrix(inst)
+    if norm is None:
+        return 0.0
+    return float(np.linalg.eigvalsh(norm[0])[-1])
 
 
 def trevisan_round(inst: QpRatioInstance, x) -> tuple[Assignment, RatioValue]:
@@ -181,11 +231,13 @@ def psd_polylog_round(
     into dyadic magnitude levels.  Within a level every coordinate is pushed
     to the level ceiling with the sign that does not decrease the completed
     quadratic form (coordinatewise convex since a PSD form has a nonnegative
-    diagonal), then the uniform-magnitude vector is read off as signs.
-    Returns the best level candidate or the single-edge baseline.  A
-    completed form with an eigenvalue below -1e-8 (1 + max |entry|) is
-    refused.  Nothing here is random; seed is accepted for callers that
-    pass one.
+    diagonal), then the uniform-magnitude vector is read off as signs.  The
+    form is tracked through the push by its O(n) change per coordinate and
+    recomputed exactly once per level.  Returns the best level candidate or
+    the single-edge baseline.  A completed form with an eigenvalue below
+    -1e-8 (1 + max |entry|) is refused: a Cholesky factorization of the form
+    plus that margin tests it, and only a refusal computes the eigenvalue.
+    Nothing here is random; seed is accepted for callers that pass one.
     """
     n = inst.n
     xv = np.asarray(x, dtype=np.float64).ravel()
@@ -196,9 +248,12 @@ def psd_polylog_round(
         raise ValidationError(f"diagonal has length {dvec.size}, instance has n={n}")
     a_full = inst.to_dense() + np.diag(dvec)
     scale = 1.0 + float(np.max(np.abs(a_full)))
-    min_eig = float(np.linalg.eigvalsh(a_full)[0])
-    if min_eig < -1e-8 * scale:
-        raise ValidationError(f"completed form is not PSD (min eigenvalue {min_eig:.3e})")
+    try:
+        np.linalg.cholesky(a_full + np.diag(np.full(n, 1e-8 * scale)))
+    except np.linalg.LinAlgError:
+        min_eig = float(np.linalg.eigvalsh(a_full)[0])
+        if min_eig < -1e-8 * scale:
+            raise ValidationError(f"completed form is not PSD (min eigenvalue {min_eig:.3e})") from None
 
     best = trivial_solution(inst)
     floor = 1.0 / (n * n * scale)
@@ -215,26 +270,36 @@ def psd_polylog_round(
         if not np.any(sel):
             continue
         y = np.where(sel, xv, 0.0)
-        num_before = float(y @ a_full @ y)
+        form = float(y @ a_full @ y)
         idx = np.nonzero(sel)[0]
         for _sweep in range(2):
             changed = False
             for i in idx:
-                if abs(y[i]) == hi:
+                y_old = y[i]
+                if abs(y_old) == hi:
                     continue
-                s = float(a_full[i] @ y) - a_full[i, i] * y[i]
+                aii = a_full[i, i]
+                s = float(a_full[i] @ y) - aii * y_old
                 y_new = hi if s >= 0 else -hi
-                if y_new != y[i]:
-                    y[i] = y_new
-                    changed = True
-                num_after = float(y @ a_full @ y)
-                if num_after < num_before - 1e-9 * max(1.0, abs(num_before)):
+                if y_new == y_old:
+                    continue
+                y[i] = y_new
+                changed = True
+                delta = 2.0 * (y_new - y_old) * s + aii * (y_new * y_new - y_old * y_old)
+                if delta < -1e-9 * max(1.0, abs(form)):
                     raise AssertionError(
-                        f"convexity push decreased the completed form: {num_before} -> {num_after}"
+                        f"convexity push decreased the completed form: {form} -> {form + delta}"
                     )
-                num_before = num_after
+                form += delta
             if not changed:
                 break
+        exact = float(y @ a_full @ y)
+        # both sums carry rounding of about n 2^-53 times the sum of the term
+        # magnitudes, hi^2 sum |a_ij| over the level (every coordinate of the
+        # level now stands at +-hi)
+        slack = 1e-9 * max(1.0, hi * hi * float(np.sum(np.abs(a_full[np.ix_(idx, idx)]))))
+        if abs(exact - form) > slack:
+            raise AssertionError(f"tracked completed form {form} differs from the recomputed {exact}")
         a = Assignment(tuple(int(v) for v in np.sign(y)))
         val = eval_qp_ratio(inst, a)
         if val.value > best[1].value:

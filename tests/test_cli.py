@@ -1,10 +1,11 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from qpratio import cli, generators, spectral
+from qpratio import cli, core, generators, hardness, spectral
 from qpratio.cli import main
 from qpratio.core import QpIntermediateInstance, instance_to_bytes, load_instance, save_instance
 from qpratio.generators import gen_star, random_instance
@@ -162,6 +163,26 @@ class TestReduce:
         assert inst.n == 2 * 6 + 4
         assert inst.meta["source_file"] == "kand.json"
         assert len(inst.meta["source_sha256_16"]) == 16
+
+    def test_reduction_builds_no_entries_tuple(self, tmp_path, monkeypatch):
+        # the entries tuple of a large reduction is what the arrays avoid
+        reduced, saved = [], []
+        reduce = hardness.kand_to_qpratio
+
+        def keep(*args):
+            out = reduce(*args)
+            reduced.append(out[0])
+            return out
+
+        monkeypatch.setattr(hardness, "kand_to_qpratio", keep)
+        monkeypatch.setattr(core, "save_instance", lambda inst, path: saved.append(inst))
+        kand = tmp_path / "kand.json"
+        main(["gen", "kand", "--n", "6", "--m", "4", "--k", "3", "--seed", "2", "--out", str(kand)])
+        assert main(["reduce", str(kand), "--from", "kand", "--alpha", "0.5", "--out", "unused.json"]) == 0
+        for inst in reduced + saved:
+            assert "_entries_tuple" not in inst.__dict__
+        assert saved[0] == dataclasses.replace(reduced[0], meta=saved[0].meta)
+        assert saved[0].meta["source_file"] == "kand.json"
 
     def test_ug_then_intermediate(self, tmp_path):
         ug = tmp_path / "ug.json"

@@ -1,6 +1,10 @@
-"""Import layering of the package: no cycles, and every import at module level."""
+"""Import layering of the package: no cycles, every import at module level,
+and no scipy on the spectral path."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import qpratio
@@ -55,3 +59,24 @@ def test_no_import_inside_a_function():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
     assert not local, "imports inside functions: " + ", ".join(local)
+
+
+def test_spectral_path_does_not_import_scipy():
+    # importing scipy.sparse.linalg alone takes longer than the dense solves
+    # at the sizes the spectral path serves
+    code = """
+import sys
+import numpy as np
+import qpratio
+from qpratio import generators, spectral
+inst = generators.random_instance(400, 1, density=0.05)
+spectral.eig_relaxation_value(inst, seed=1)
+spectral.normalized_eig(inst, seed=1)
+top = spectral.eigen_max(inst.to_dense(), seed=1)
+shift = max(0.0, -top.lambda_min) * (1.0 + 1e-9) + 1e-12
+spectral.psd_polylog_round(inst, top.vector, diag=np.full(inst.n, shift))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent), OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from qpratio import core
-from qpratio.core import Assignment, QpRatioInstance, eval_normalized_qp_ratio, eval_qp_ratio
+from qpratio.core import (
+    Assignment,
+    QpRatioInstance,
+    ValidationError,
+    eval_normalized_qp_ratio,
+    eval_qp_ratio,
+    trivial_solution,
+)
 from qpratio.exact import brute_force_qp_ratio
 from qpratio.generators import (
     LevelGraphParams,
@@ -42,6 +49,64 @@ def reference_trevisan_round(inst, x):
         if best is None or val.value > best[1].value:
             best = (a, val)
     return best
+
+
+def reference_projection(m, tol=1e-10, seed=0):
+    """The seeded start projected onto the eigh eigenvectors within tol of the top."""
+    w, vecs = np.linalg.eigh(m)
+    top = vecs[:, w >= w[-1] - tol]
+    v = top @ (top.T @ rng_for(seed, 0x51).standard_normal(m.shape[0]))
+    return v / np.linalg.norm(v)
+
+
+def reference_psd_polylog_round(inst, x, diag):
+    """The level push that recomputed y^T A y after every coordinate, O(n^2) each."""
+    n = inst.n
+    xv = np.asarray(x, dtype=np.float64).ravel()
+    a_full = inst.to_dense() + np.diag(np.asarray(diag, dtype=np.float64))
+    scale = 1.0 + float(np.max(np.abs(a_full)))
+    best = trivial_solution(inst)
+    floor = 1.0 / (n * n * scale)
+    mags = np.abs(xv)
+    live = mags >= floor
+    if not np.any(live):
+        return best
+    xmax = float(np.max(mags[live]))
+    levels = int(math.ceil(math.log2(xmax / floor))) + 1 if xmax > floor else 1
+    for k in range(levels):
+        hi = xmax / (2.0**k)
+        sel = live & (mags <= hi) & (mags > hi / 2.0)
+        if not np.any(sel):
+            continue
+        y = np.where(sel, xv, 0.0)
+        num_before = float(y @ a_full @ y)
+        for _sweep in range(2):
+            changed = False
+            for i in np.nonzero(sel)[0]:
+                if abs(y[i]) == hi:
+                    continue
+                s = float(a_full[i] @ y) - a_full[i, i] * y[i]
+                y_new = hi if s >= 0 else -hi
+                if y_new != y[i]:
+                    y[i] = y_new
+                    changed = True
+                num_after = float(y @ a_full @ y)
+                assert num_after >= num_before - 1e-9 * max(1.0, abs(num_before))
+                num_before = num_after
+            if not changed:
+                break
+        a = Assignment(tuple(int(v) for v in np.sign(y)))
+        val = eval_qp_ratio(inst, a)
+        if val.value > best[1].value:
+            best = (a, val)
+    return best
+
+
+def normalized_matrix(inst):
+    d = core.degrees(inst)
+    keep = d > 0
+    s = 1.0 / np.sqrt(d[keep])
+    return inst.to_dense()[np.ix_(keep, keep)] * s[:, None] * s[None, :]
 
 
 class TestEigenMax:
@@ -82,13 +147,6 @@ class TestEigenMax:
             eigen_max((b + b.T) / 2.0, tol=0.0)
         assert exc.value.best_residual > 0
 
-    def test_matches_eigvalsh(self):
-        rng = rng_for(13)
-        mats = [(b + b.T) / 2.0 for b in (rng.uniform(-1, 1, (n, n)) for n in (2, 7, 40, 120))]
-        mats.append(gen_level_graph(LevelGraphParams(eps=0.5)).to_dense())
-        for m in mats:
-            assert abs(eigen_max(m).lambda_max - np.linalg.eigvalsh(m)[-1]) <= 1e-12
-
     def test_lambda_min_matches_eigvalsh(self):
         rng = rng_for(14)
         mats = [(b + b.T) / 2.0 for b in (rng.uniform(-1, 1, (n, n)) for n in (1, 2, 7, 40, 120))]
@@ -96,6 +154,37 @@ class TestEigenMax:
         for m in mats:
             scale = float(np.max(np.abs(m)))
             assert abs(eigen_max(m).lambda_min - np.linalg.eigvalsh(m)[0]) <= 1e-12 * scale
+
+    def test_matches_eigvalsh(self):
+        # the top eigenvalue is eigvalsh's, bit for bit, and the vector is the
+        # seeded projection onto the top eigenspace whichever path computed it
+        rng = rng_for(15)
+        mats = []
+        for n in (2, 3, 5, 8, 13, 30, 60, 120):
+            for _ in range(4):
+                b = rng.uniform(-1, 1, (n, n))
+                mats.append((b + b.T) / 2.0)
+        level = gen_level_graph(LevelGraphParams(eps=0.5))
+        mats += [level.to_dense(), normalized_matrix(level)]
+        for seed in (1, 2):
+            inst = random_instance(120, seed=seed, density=0.3)
+            mats += [inst.to_dense(), normalized_matrix(inst)]
+        mats.append(normalized_matrix(gen_bipartite_gap(64, seed=3)))
+        for k, m in enumerate(mats):
+            res = eigen_max(m, seed=k)
+            assert res.lambda_max == float(np.linalg.eigvalsh(m)[-1])
+            assert res.residual <= 1e-10
+            assert np.max(np.abs(res.vector - reference_projection(m, seed=k))) <= 1e-9
+
+    def test_simple_top_eigenvalue_needs_no_eigh(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh was called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        level = gen_level_graph(LevelGraphParams(eps=1.0 / 3.0))
+        for m in (random_instance(400, seed=1, density=0.05).to_dense(), level.to_dense()):
+            assert eigen_max(m, seed=1).residual <= 1e-10
+        normalized_eig(level, seed=1)
 
     def test_repeated_top_eigenvalue_keeps_seeded_direction(self):
         # every vector of the top eigenspace is an eigenvector; the seed picks
@@ -150,6 +239,15 @@ class TestRelaxationValues:
             inst = random_instance(9, seed=seed)
             val, x = normalized_eig(inst, seed=seed)
             assert eval_normalized_fractional(inst, x).value == pytest.approx(val, abs=1e-8)
+
+    def test_values_equal_eigvalsh(self):
+        insts = [random_instance(n, seed=n, density=0.3) for n in (5, 40, 150)]
+        insts += [gen_level_graph(LevelGraphParams(eps=0.5)), gen_bipartite_gap(64, seed=3), gen_star(9)]
+        for inst in insts:
+            assert eig_relaxation_value(inst) == float(np.linalg.eigvalsh(inst.to_dense())[-1])
+            want = float(np.linalg.eigvalsh(normalized_matrix(inst))[-1])
+            assert normalized_eig_value(inst) == pytest.approx(want, rel=0, abs=1e-12)
+            assert normalized_eig_value(inst) == normalized_eig(inst)[0]
 
     def test_deterministic_given_seed(self):
         inst = random_instance(12, seed=55)
@@ -214,8 +312,8 @@ class TestTrevisanSweep:
         vectors = [x, level_graph_witness_vector(params)]
         if eps == 0.5:
             # last-bit noise splits the eigenvector's 4 magnitude levels
-            # into 13 distinct thresholds at this seed
-            assert np.unique(np.abs(x)).size == 13
+            # into more distinct thresholds; the sweep must still match
+            assert np.unique(np.abs(x)).size > 4
         for v in vectors:
             assert trevisan_round(inst, v) == reference_trevisan_round(inst, v)
 
@@ -288,8 +386,19 @@ class TestPsdRound:
 
     def test_non_psd_rejected(self):
         inst = QpRatioInstance(2, ((0, 1, 1.0),))
-        with pytest.raises(Exception):
-            psd_polylog_round(inst, np.ones(2))  # zero diagonal: eigenvalues +-1
+        # zero diagonal: eigenvalues +-1
+        with pytest.raises(ValidationError, match=r"min eigenvalue -1\.000e\+00"):
+            psd_polylog_round(inst, np.ones(2))
+
+    def test_matches_the_recomputing_push(self):
+        insts = [random_instance(n, seed=n, density=0.3) for n in (12, 60, 150)]
+        insts += [gen_level_graph(LevelGraphParams(eps=0.5)), gen_bipartite_gap(64, seed=3), gen_star(20)]
+        for k, inst in enumerate(insts):
+            top = eigen_max(inst.to_dense(), seed=k)
+            diag = np.full(inst.n, max(0.0, -top.lambda_min) * (1.0 + 1e-9) + 1e-12)
+            vectors = [top.vector, rng_for(16, k).standard_normal(inst.n)]
+            for x in vectors:
+                assert psd_polylog_round(inst, x, diag=diag) == reference_psd_polylog_round(inst, x, diag)
 
 
 class TestHighOpt:
