@@ -187,7 +187,7 @@ def _run_algo(inst: core.QpRatioInstance, algo: str, seed: int, eps: float):
         # canonical PSD completion: lift the diagonal by |min eigenvalue|
         shift = max(0.0, -res.lambda_min) * (1.0 + 1e-9) + 1e-12
         diag = np.full(inst.n, shift)
-        return spectral.psd_polylog_round(inst, res.vector, diag=diag, seed=seed)
+        return spectral.psd_polylog_round(inst, res.vector, diag=diag)
     if algo == "high-opt":
         return spectral.solve_high_opt(inst, eps, seed=seed)
     raise ValidationError(f"unknown algorithm {algo!r}")

@@ -73,8 +73,11 @@ class Assignment:
             a = obj
         else:
             vals = []
-            for v in np.asarray(obj).ravel().tolist():
-                iv = int(round(float(v)))
+            for k, v in enumerate(np.asarray(obj).ravel().tolist()):
+                try:
+                    iv = int(round(float(v)))
+                except (TypeError, ValueError, OverflowError):
+                    raise ValidationError(f"assignment component {k} is {v!r}, not in {{-1,0,1}}") from None
                 if iv != v and abs(iv - float(v)) > 1e-12:
                     raise ValidationError(f"assignment component {v!r} is not integral")
                 vals.append(iv)

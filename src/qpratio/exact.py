@@ -4,14 +4,15 @@ Full enumerations; these anchor every other module's tests.  Enumeration
 order is fixed (lexicographic with -1 < 0 < 1, grids ascending) so ties break
 identically on every run.
 
-The two 3^n ratio oracles still score every assignment, but not one entry at
-a time: the variables split into a head and a tail of at most 8, and all
+The plain, normalized and weighted-bipartite 3^n oracles are one enumeration
+under three weightings.  It scores every assignment, but not one entry at a
+time: the variables split into a head and a tail of at most 8, and all
 assignments are scored at once as a 3^h x 3^t array from the two parts'
 quadratic forms and the head-tail cross block.  Those scores round
 differently from the per-entry reference formulas, so every assignment
 within a stated floating-point error bound of the best is rescored by the
-reference formulas before the first maximum is taken; the plain oracle's
-result is the one a per-entry enumeration of all 3^n rows gives.
+reference formulas before the first maximum is taken; the result is the one
+a per-entry enumeration of all 3^n rows gives.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from .core import (
     Assignment,
     BudgetExceeded,
+    EntryArrays,
     FractionalAssignment,
     QpIntermediateInstance,
     QpRatioInstance,
@@ -53,16 +55,12 @@ def _assignment_grid(n: int) -> np.ndarray:
 
     n = 0 gives the single empty row, shape (1, 0).
     """
-    vals = np.array([-1, 0, 1], dtype=np.int8)
-    rows = np.zeros((1, 0), dtype=np.int8)
-    for _ in range(n):
-        rows = np.hstack([np.repeat(rows, 3, axis=0), np.tile(vals, rows.shape[0])[:, None]])
-    return rows
+    return np.ascontiguousarray(np.indices((3,) * n, dtype=np.int8).reshape(n, 3**n).T) - 1
 
 
 def _numerators(inst, x_rows: np.ndarray) -> np.ndarray:
     num = np.zeros(x_rows.shape[0], dtype=np.float64)
-    for i, j, w in inst.entries:
+    for i, j, w in zip(*(col.tolist() for col in inst.arrays)):
         num += (2.0 * w) * (x_rows[:, i].astype(np.float64) * x_rows[:, j])
     return num
 
@@ -102,28 +100,28 @@ def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
-def _brute_force(inst: QpRatioInstance, cap: int, normalized: bool) -> tuple[Assignment, RatioValue]:
+def _brute_force(inst: QpRatioInstance, cap: int, weights: np.ndarray) -> tuple[Assignment, RatioValue]:
     """First maximizer, in lexicographic order, of num(x) / sum_i weights_i |x_i|.
 
-    The weights are all 1 (plain ratio) or the degrees (normalized ratio).
-    Instances with n above ``cap``, or above 14 whatever ``cap`` says, are
-    refused before anything is allocated.
+    The weights are nonnegative: all 1 for the plain ratio, the degrees for
+    the normalized one.  Instances with n above ``cap``, or above 14 whatever
+    ``cap`` says, are refused before anything is allocated.
 
     Every assignment is scored by the head x tail split; the rows whose
     score is within ``delta`` of the best are rescored by the reference
     formulas (per entry in canonical entry order, denominators in index
     order), and the first maximum of those is returned.
 
-    ``scale`` (the largest degree, or 1 when normalized) bounds
-    sum_{i,j in supp x} |a_ij| / den(x) for every x with den(x) > 0.  The
-    reference numerator sums m terms in sequence and the split one rounds at
-    most 2n + 2 times along any path (BLAS may sum in any order); each
-    denominator rounds at most n times and each quotient once.  With
-    u = 2^-53, the two values of one row thus differ by at most about
-    (m + 4n + 8) u scale, and the first reference maximizer scores within
-    twice that of the best split score.  ``delta`` takes twice that again for
-    the second-order terms and the rounding of the degrees.  A finite sum of
-    the degrees keeps every partial sum finite.
+    ``scale``, the largest d_i / weights_i over degrees d_i > 0 (the largest
+    degree, or 1 when normalized), bounds sum_{i,j in supp x} |a_ij| / den(x)
+    for every x with den(x) > 0.  The reference numerator sums m terms in
+    sequence and the split one rounds at most 2n + 2 times along any path
+    (BLAS may sum in any order); each denominator rounds at most n times and
+    each quotient once.  With u = 2^-53, the two values of one row thus
+    differ by at most about (m + 4n + 8) u scale, and the first reference
+    maximizer scores within twice that of the best split score.  ``delta``
+    takes twice that again for the second-order terms and the rounding of
+    the degrees.  A finite sum of the degrees keeps every partial sum finite.
     """
     n = inst.n
     cap = min(cap, _ORACLE_MAX_N)
@@ -132,11 +130,12 @@ def _brute_force(inst: QpRatioInstance, cap: int, normalized: bool) -> tuple[Ass
     d = degrees(inst)
     if not np.isfinite(np.sum(d)):
         raise ValidationError("brute force refused: the sum of |a_ij| overflows float64")
-    weights, scale = (d, 1.0) if normalized else (np.ones(n), float(np.max(d)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = float(np.max(d / weights, where=d > 0, initial=0.0))
     t = min(n, _TAIL)
     head, tail = _assignment_grid(n - t), _assignment_grid(t)
     vals = _ratios(*_split_scores(inst, weights, head, tail))
-    delta = 4.0 * (len(inst.entries) + 4 * n + 8) * 2.0**-53 * scale
+    delta = 4.0 * (inst.nnz + 4 * n + 8) * 2.0**-53 * scale
     idx = np.flatnonzero(vals >= vals.max() - delta)
     rows = np.hstack([head[idx // tail.shape[0]], tail[idx % tail.shape[0]]])
     num = _numerators(inst, rows)
@@ -148,12 +147,12 @@ def _brute_force(inst: QpRatioInstance, cap: int, normalized: bool) -> tuple[Ass
 
 def brute_force_qp_ratio(inst: QpRatioInstance, cap: int = 12) -> tuple[Assignment, RatioValue]:
     """Exact maximizer of the plain ratio over all 3^n assignments."""
-    return _brute_force(inst, cap, normalized=False)
+    return _brute_force(inst, cap, np.ones(inst.n))
 
 
 def brute_force_normalized(inst: QpRatioInstance, cap: int = 12) -> tuple[Assignment, RatioValue]:
     """Exact maximizer of the degree-normalized ratio."""
-    return _brute_force(inst, cap, normalized=True)
+    return _brute_force(inst, cap, degrees(inst))
 
 
 def exact_star_optimum(leaves: int) -> float:
@@ -212,7 +211,7 @@ def grid_search_intermediate(
         idx = np.arange(start, min(start + _GRID_BLOCK, total))
         rows = axis[idx[:, None] // place % base]
         num = rows * rows @ diag
-        for i, j, w in inst.entries:
+        for i, j, w in zip(*(col.tolist() for col in inst.arrays)):
             num += (2.0 * w) * rows[:, i] * rows[:, j]
         den = np.sum(np.abs(rows), axis=1)
         vals = _ratios(num, den)
@@ -252,19 +251,20 @@ def brute_force_ratio_ug(ug):
 def brute_force_weighted_bipartite(matrix, left_weight: int, cap: int = 12) -> float:
     """max 2 x^T A y / (w ||x||_1 + ||y||_1) over x, y in {-1,0,1}; 0 if all-zero.
 
-    Refused when the two sides hold more than min(cap, 14) variables.
+    The 3^n oracle on the bipartite instance of A, weighting the left side w
+    and the right 1.  Refused for a negative or non-finite w and when the two
+    sides hold more than min(cap, 14) variables.
 
     The factor 2 matches the full-sum convention used by the ratio evaluators,
     so this is directly comparable with brute force on a replicated instance.
     """
+    if not 0 <= left_weight < math.inf:
+        raise ValidationError(f"left weight must be finite and nonnegative, got {left_weight!r}")
     a = np.asarray(matrix, dtype=np.float64)
     nl, nr = a.shape
-    cap = min(cap, _ORACLE_MAX_N)
-    if nl + nr > cap:
-        raise BudgetExceeded(f"weighted brute force refused: {nl}+{nr} exceeds cap={cap}")
-    xs = _assignment_grid(nl).astype(np.float64)
-    ys = _assignment_grid(nr).astype(np.float64)
-    inner = xs @ a @ ys.T
-    den = left_weight * np.sum(np.abs(xs), axis=1)[:, None] + np.sum(np.abs(ys), axis=1)[None, :]
-    vals = _ratios(2.0 * inner, den)
-    return float(np.max(vals))
+    if nl + nr == 0:
+        return 0.0
+    li, rj = np.nonzero(a)
+    inst = QpRatioInstance(nl + nr, EntryArrays(li, nl + rj, a[li, rj]))
+    weights = np.repeat([float(left_weight), 1.0], [nl, nr])
+    return _brute_force(inst, cap, weights)[1].value

@@ -17,6 +17,7 @@ import numpy as np
 from .core import (
     Assignment,
     BudgetExceeded,
+    EntryArrays,
     QpRatioInstance,
     RatioValue,
     ValidationError,
@@ -332,25 +333,19 @@ def gen_apx_gadget(n: int, edges: Sequence[tuple[int, int]], d: int) -> QpRatioI
     if edges and any(x != d for x in deg):
         raise ValidationError(f"input graph is not {d}-regular (degrees {sorted(set(deg))})")
     a0, b0, c0, d0, e0 = 0, n, 2 * n, 3 * n, 4 * n
-    entries = []
-    dw = float(d)
-    for i in range(n):
-        entries.append((a0 + i, b0 + i, dw))
-        entries.append((b0 + i, c0 + i, dw))
-        entries.append((c0 + i, d0 + i, dw))
-        entries.append((d0 + i, e0 + i, dw))
-        entries.append((a0 + i, e0 + i, -dw))
+    i = np.arange(n)
+    graph = np.array(list(seen), dtype=np.int64).reshape(-1, 2)
+    ii = [a0 + i, b0 + i, c0 + i, d0 + i, a0 + i, c0 + graph[:, 0]]
+    jj = [b0 + i, c0 + i, d0 + i, e0 + i, e0 + i, c0 + graph[:, 1]]
+    ww = [np.full(n, float(d))] * 4 + [np.full(n, -float(d)), np.full(len(graph), -1.0)]
     clique_w = 10.0 * d / n
     if clique_w != 0.0:
-        for i in range(n):
-            for j in range(i + 1, n):
-                entries.append((a0 + i, a0 + j, clique_w))
-                entries.append((e0 + i, e0 + j, clique_w))
-    for u, v in sorted(seen):
-        entries.append((c0 + u, c0 + v, -1.0))
-    return QpRatioInstance(
-        5 * n, tuple(entries), meta=_meta("apx_gadget", None, n=n, d=d, edges=len(seen))
-    )
+        ci, cj = np.triu_indices(n, 1)
+        ii += [a0 + ci, e0 + ci]
+        jj += [a0 + cj, e0 + cj]
+        ww += [np.full(ci.size, clique_w)] * 2
+    entries = EntryArrays(np.concatenate(ii), np.concatenate(jj), np.concatenate(ww))
+    return QpRatioInstance(5 * n, entries, meta=_meta("apx_gadget", None, n=n, d=d, edges=len(seen)))
 
 
 def apx_planted_assignment(n: int, cut_signs: Sequence[int]) -> Assignment:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,6 +48,11 @@ _UG_REDUCTION_VARS = 512
 # ---------------------------------------------------------------------------
 # Boolean functions on the hypercube and their Walsh-Hadamard transform.
 # ---------------------------------------------------------------------------
+
+def sign_table(r: int) -> np.ndarray:
+    """{-1,1}^r as 2^r int8 rows; row t is -1 in column i when bit i of t is set."""
+    return (1 - 2 * (np.arange(2**r)[:, None] >> np.arange(r) & 1)).astype(np.int8)
+
 
 def fwht(values: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the last axis (length 2^R)."""
@@ -92,8 +98,7 @@ class BoolFn:
     def dictator(cls, r: int, coord: int) -> "BoolFn":
         if not 0 <= coord < r:
             raise ValidationError(f"dictator coordinate {coord} outside [0,{r})")
-        t = np.arange(2**r)
-        return cls(1.0 - 2.0 * ((t >> coord) & 1))
+        return cls(sign_table(r)[:, coord])
 
     @classmethod
     def constant(cls, r: int, value: float) -> "BoolFn":
@@ -178,8 +183,8 @@ class KAndInstance:
                 raise ValidationError(f"clause {cidx} has {len(clause)} literals, expected {self.k}")
             vars_seen = set()
             for v, s in clause:
-                if not 0 <= v < self.n:
-                    raise ValidationError(f"clause {cidx}: variable {v} outside [0,{self.n})")
+                if not (isinstance(v, (int, np.integer)) and 0 <= v < self.n):
+                    raise ValidationError(f"clause {cidx}: variable {v!r} is not an integer in [0,{self.n})")
                 if s not in (-1, 1):
                     raise ValidationError(f"clause {cidx}: sign {s!r} must be +-1")
                 if v in vars_seen:
@@ -189,6 +194,13 @@ class KAndInstance:
     @property
     def m(self) -> int:
         return len(self.clauses)
+
+    @cached_property
+    def literals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The clauses as two read-only (m, k) int64 arrays: variables and signs."""
+        lits = np.array(self.clauses, dtype=np.int64).reshape(self.m, self.k, 2)
+        lits.setflags(write=False)
+        return lits[..., 0], lits[..., 1]
 
 
 def gen_kand(
@@ -222,20 +234,22 @@ def gen_kand(
 
 def kand_matrix(inst: KAndInstance) -> np.ndarray:
     """Clause-by-variable matrix with entries sign/m (0 when absent)."""
-    a = np.zeros((inst.m, inst.n))
-    for j, clause in enumerate(inst.clauses):
-        for v, s in clause:
-            a[j, v] = s / inst.m
-    return a
+    return _clause_matrix(inst) / inst.m
+
+
+def _clause_matrix(inst: KAndInstance) -> np.ndarray:
+    """Clause-by-variable matrix with entries sign (0 when absent)."""
+    vs, signs = inst.literals
+    c = np.zeros((inst.m, inst.n))
+    np.put_along_axis(c, vs, signs, axis=1)
+    return c
 
 
 def satisfied_literal_counts(inst: KAndInstance, x) -> np.ndarray:
     """Per-clause count of literals satisfied by the +-1 assignment x."""
     xv = np.asarray(x, dtype=np.float64).ravel()
-    counts = np.zeros(inst.m, dtype=np.int64)
-    for j, clause in enumerate(inst.clauses):
-        counts[j] = sum(1 for v, s in clause if xv[v] == s)
-    return counts
+    vs, signs = inst.literals
+    return np.count_nonzero(xv[vs] == signs, axis=1).astype(np.int64)
 
 
 def theta_value(inst: KAndInstance, f, g, alpha: float) -> RatioValue:
@@ -293,13 +307,12 @@ def kand_to_qpratio(inst: KAndInstance, alpha: float) -> tuple[QpRatioInstance, 
     total = w * inst.n + inst.m
     if total > _REDUCTION_VARS:
         raise BudgetExceeded(f"replicated instance needs {total} variables, cap is {_REDUCTION_VARS}")
-    entries = []
-    scale = 1.0 / (inst.m * w)
-    for j, clause in enumerate(inst.clauses):
-        cj = w * inst.n + j
-        for v, s in clause:
-            for c in range(w):
-                entries.append((c * inst.n + v, cj, s * scale))
+    # copy c of literal (v, s) in clause j joins variable c n + v to w n + j
+    vs, signs = inst.literals
+    copies = np.arange(w)[:, None, None] * inst.n + vs
+    clause_vars = w * inst.n + np.arange(inst.m)[:, None]
+    weights = signs * (1.0 / (inst.m * w))
+    entries = EntryArrays(*(col.ravel() for col in np.broadcast_arrays(copies, clause_vars, weights)))
     bip = (tuple(range(w * inst.n)), tuple(range(w * inst.n, total)))
     meta = {
         "family": "kand_reduction",
@@ -307,7 +320,7 @@ def kand_to_qpratio(inst: KAndInstance, alpha: float) -> tuple[QpRatioInstance, 
         "weights": "sign/(m*w) per copy",
         "rng": RNG_TAG,
     }
-    return QpRatioInstance(total, tuple(entries), bip, meta), KandMapping(inst.n, inst.m, w, alpha)
+    return QpRatioInstance(total, entries, bip, meta), KandMapping(inst.n, inst.m, w, alpha)
 
 
 @dataclass(frozen=True)
@@ -329,16 +342,9 @@ def check_kand_concentration(inst: KAndInstance, cap: int = 16) -> Concentration
     """
     if inst.n > cap:
         raise BudgetExceeded(f"concentration check refused: n={inst.n} exceeds cap={cap}")
-    n, k, m = inst.n, inst.k, inst.m
-    t = np.arange(2**n)
-    rows = np.empty((2**n, n), dtype=np.int8)
-    for i in range(n):
-        rows[:, i] = 1 - 2 * ((t >> i) & 1)
-    c = np.zeros((m, n))
-    for j, clause in enumerate(inst.clauses):
-        for v, s in clause:
-            c[j, v] = s
-    agree = rows.astype(np.float64) @ c.T  # (#sat - #unsat) per clause
+    k = inst.k
+    rows = sign_table(inst.n)
+    agree = rows.astype(np.float64) @ _clause_matrix(inst).T  # (#sat - #unsat) per clause
     counts = (k + agree) / 2.0
     threshold = k / 2.0 + k ** (7.0 / 8.0)
     fractions = np.mean(counts > threshold, axis=1)
@@ -533,10 +539,7 @@ def ug_to_intermediate(ug: UgInstance) -> tuple[QpIntermediateInstance, UgMappin
     if not ug.edges:
         raise ValidationError("reduction needs at least one constraint edge")
     eta = ug_eta(nv, r)
-    t = np.arange(size)
-    x = np.empty((size, r))
-    for i in range(r):
-        x[:, i] = 1 - 2 * ((t >> i) & 1)
+    x = sign_table(r).astype(np.float64)
 
     mat = np.zeros((n_vars, n_vars))
     edge_scale = n_vars / len(ug.edges)
@@ -578,28 +581,24 @@ def intermediate_to_qpratio(inst: QpIntermediateInstance, eps: float) -> tuple[Q
     if total > _REDUCTION_VARS:
         raise BudgetExceeded(f"split instance needs {total} variables, cap is {_REDUCTION_VARS}")
 
-    def idx(i: int, c: int) -> int:
-        return i * m + c
-
-    entries = []
-    for i, j, w in inst.entries:
-        if w == 0.0:
-            continue
-        for ci in range(m):
-            for cj in range(m):
-                entries.append((idx(i, ci), idx(j, cj), w / m))
-    for i, dv in enumerate(inst.diag):
-        if dv == 0.0:
-            continue
-        for ci in range(m):
-            for cj in range(ci + 1, m):
-                entries.append((idx(i, ci), idx(i, cj), dv / m))
+    # copy c of variable i is i m + c: a nonzero entry (i, j) joins the copy
+    # pairs (i m + ci, j m + cj) for all ci, cj, and a nonzero diagonal entry
+    # (i, i) those with ci < cj
+    var, all_pairs = np.arange(n), np.divmod(np.arange(m * m), m)
+    blocks = ((*inst.arrays, all_pairs), (var, var, np.array(inst.diag), np.triu_indices(m, 1)))
+    cols = ([], [], [])
+    for p, q, w, (ci, cj) in blocks:
+        live = w != 0.0
+        cols[0].append(((p[live] * m)[:, None] + ci).ravel())
+        cols[1].append(((q[live] * m)[:, None] + cj).ravel())
+        cols[2].append(np.repeat(w[live] / m, ci.size))
+    entries = EntryArrays(*(np.concatenate(col) for col in cols))
     meta = {
         "family": "intermediate_split",
         "params": {"source_n": n, "m": m, "eps": eps, "norm1": norm1},
         "scaling": "weights A/m; the plain ratio matches the source objective",
     }
-    return QpRatioInstance(total, tuple(entries), meta=meta), m
+    return QpRatioInstance(total, entries, meta=meta), m
 
 
 # ---------------------------------------------------------------------------

@@ -158,8 +158,8 @@ def normalized_eig(inst: QpRatioInstance, seed: int = 0) -> tuple[float, np.ndar
     return res.lambda_max, x
 
 
-def normalized_eig_value(inst: QpRatioInstance, seed: int = 0) -> float:
-    """Top eigenvalue of D^{-1/2} A D^{-1/2} (0 without edges); seed is unused."""
+def normalized_eig_value(inst: QpRatioInstance) -> float:
+    """Top eigenvalue of D^{-1/2} A D^{-1/2} (0 without edges)."""
     norm = _normalized_matrix(inst)
     if norm is None:
         return 0.0

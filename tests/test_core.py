@@ -114,6 +114,15 @@ class TestEvalQpRatio:
         with pytest.raises(DimensionMismatch):
             eval_qp_ratio(single_edge(), (1, 1, 1))
 
+    @pytest.mark.parametrize(
+        "x",
+        [[float("nan"), 0, 1], [float("inf"), 0, 1], [float("-inf"), 0, 1], ["a", 0, 1], [None, 0, 1]],
+        ids=["nan", "inf", "minus-inf", "string", "none"],
+    )
+    def test_non_numeric_component_refused(self, x):
+        with pytest.raises(ValidationError, match="assignment component 0"):
+            eval_qp_ratio(gen_star(2), x)
+
 
 class TestEvalNormalized:
     def test_negative_edge(self):

@@ -318,7 +318,38 @@ class TestRatioUgBruteForce:
             brute_force_ratio_ug(UgInstance(8, 4, ()))
 
 
+def reference_weighted_bipartite(matrix, left_weight):
+    """The x-grid by y-grid product formula that the shared enumeration replaced."""
+    a = np.asarray(matrix, dtype=np.float64)
+    nl, nr = a.shape
+    xs = np.array(list(itertools.product((-1, 0, 1), repeat=nl)), dtype=np.float64).reshape(3**nl, nl)
+    ys = np.array(list(itertools.product((-1, 0, 1), repeat=nr)), dtype=np.float64).reshape(3**nr, nr)
+    inner = xs @ a @ ys.T
+    den = left_weight * np.sum(np.abs(xs), axis=1)[:, None] + np.sum(np.abs(ys), axis=1)[None, :]
+    vals = np.divide(2.0 * inner, den, out=np.zeros_like(inner), where=den > 0)
+    return float(np.max(vals))
+
+
 class TestWeightedBipartite:
+    def test_matches_the_product_grid(self):
+        for seed in range(60):
+            rng = rng_for(seed, 21)
+            shape = (int(rng.integers(0, 5)), int(rng.integers(0, 6)))
+            a = rng.uniform(-1, 1, shape) * (rng.random(shape) < 0.7)
+            for w in (0, 1, 2, 3):
+                got = brute_force_weighted_bipartite(a, w)
+                assert abs(got - reference_weighted_bipartite(a, w)) <= 1e-15, (seed, w)
+
+    @pytest.mark.parametrize("w", [-1, -0.5, float("nan"), float("inf")])
+    def test_bad_left_weight_refused(self, w):
+        with pytest.raises(ValidationError, match="left weight"):
+            brute_force_weighted_bipartite([[1.0]], w)
+
+    def test_zero_left_weight_and_empty_matrix(self):
+        # with weight 0 the left side is free: x = y = 1 gives 2 * 1 / (0 + 1)
+        assert brute_force_weighted_bipartite([[1.0]], 0) == 2.0
+        assert brute_force_weighted_bipartite(np.zeros((0, 0)), 1) == 0.0
+
     def test_refused_past_14_variables_whatever_the_cap(self):
         with pytest.raises(BudgetExceeded, match="exceeds cap=14"):
             brute_force_weighted_bipartite(np.zeros((5, 10)), 1, cap=20)

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from qpratio import generators
-from qpratio.core import EntryArrays, QpRatioInstance, ValidationError, eval_normalized_fractional, eval_qp_ratio
+from qpratio.core import (
+    EntryArrays,
+    QpRatioInstance,
+    ValidationError,
+    eval_normalized_fractional,
+    eval_qp_ratio,
+    instance_to_bytes,
+)
 from qpratio.exact import BudgetExceeded, brute_force_qp_ratio
 from qpratio.generators import (
     LevelGraphParams,
@@ -270,6 +277,34 @@ class TestCheckExpr1:
             check_expr1([0.0] * 16, 4, 16)
 
 
+def reference_gen_apx_gadget(n, edges, d, meta):
+    """The gadget built as one (i, j, w) triple per track edge, clique pair and graph edge."""
+    a0, b0, c0, d0, e0 = 0, n, 2 * n, 3 * n, 4 * n
+    entries = []
+    dw = float(d)
+    for i in range(n):
+        entries.append((a0 + i, b0 + i, dw))
+        entries.append((b0 + i, c0 + i, dw))
+        entries.append((c0 + i, d0 + i, dw))
+        entries.append((d0 + i, e0 + i, dw))
+        entries.append((a0 + i, e0 + i, -dw))
+    clique_w = 10.0 * d / n
+    if clique_w != 0.0:
+        for i in range(n):
+            for j in range(i + 1, n):
+                entries.append((a0 + i, a0 + j, clique_w))
+                entries.append((e0 + i, e0 + j, clique_w))
+    for u, v in sorted({(min(u, v), max(u, v)) for u, v in edges}):
+        entries.append((c0 + u, c0 + v, -1.0))
+    return QpRatioInstance(5 * n, tuple(entries), meta=meta)
+
+
+# outer 5-cycle, inner pentagram, spokes
+PETERSEN = (
+    [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 2) % 5) for i in range(5)] + [(i, 5 + i) for i in range(5)]
+)
+
+
 class TestApxGadget:
     def test_plain_five_cycle_optimum(self):
         # one track, no cliques or graph edges: 3^5 enumeration gives 6/4
@@ -286,6 +321,16 @@ class TestApxGadget:
     def test_non_regular_rejected(self):
         with pytest.raises(Exception):
             gen_apx_gadget(3, [(0, 1)], 1)
+
+    def test_matches_the_triple_loop(self):
+        # cycles on n >= 3 vertices, no edges below that, a weightless
+        # gadget (d = 0: no cliques) and the 3-regular Petersen graph
+        cases = [(n, [(i, (i + 1) % n) for i in range(n)] if n >= 3 else [], 2) for n in range(1, 40)]
+        cases += [(4, [], 0), (10, PETERSEN, 3), (10, [(v, u) for u, v in reversed(PETERSEN)], 3)]
+        for n, edges, d in cases:
+            inst = gen_apx_gadget(n, edges, d)
+            want = reference_gen_apx_gadget(n, edges, d, inst.meta)
+            assert instance_to_bytes(inst) == instance_to_bytes(want)
 
     def test_planted_value_tracks_cut_fraction(self):
         n, d = 32, 2

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from qpratio.core import QpIntermediateInstance, QpRatioInstance, ValidationError, eval_qp_intermediate
+from qpratio.core import (
+    QpIntermediateInstance,
+    QpRatioInstance,
+    ValidationError,
+    eval_qp_intermediate,
+    instance_to_bytes,
+)
 from qpratio.exact import (
     BudgetExceeded,
     brute_force_qp_ratio,
@@ -32,12 +38,64 @@ from qpratio.hardness import (
     kand_to_qpratio,
     reduction_components,
     satisfied_literal_counts,
+    sign_table,
     theta_value,
     ug_eta,
     ug_to_intermediate,
 )
 from qpratio.sdp import GramSolution, embed_assignment
 from qpratio.util import rng_for
+
+
+def reference_kand_matrix(inst):
+    """The per-literal loop that the clause view replaced."""
+    a = np.zeros((inst.m, inst.n))
+    for j, clause in enumerate(inst.clauses):
+        for v, s in clause:
+            a[j, v] = s / inst.m
+    return a
+
+
+def reference_satisfied_literal_counts(inst, x):
+    """The per-clause count that the clause view replaced."""
+    xv = np.asarray(x, dtype=np.float64).ravel()
+    counts = np.zeros(inst.m, dtype=np.int64)
+    for j, clause in enumerate(inst.clauses):
+        counts[j] = sum(1 for v, s in clause if xv[v] == s)
+    return counts
+
+
+def reference_kand_to_qpratio(inst, alpha, meta):
+    """The replicated instance built as one (i, j, w) triple per copy of each literal."""
+    w = round(1.0 / alpha)
+    total = w * inst.n + inst.m
+    entries = []
+    scale = 1.0 / (inst.m * w)
+    for j, clause in enumerate(inst.clauses):
+        cj = w * inst.n + j
+        for v, s in clause:
+            for c in range(w):
+                entries.append((c * inst.n + v, cj, s * scale))
+    bip = (tuple(range(w * inst.n)), tuple(range(w * inst.n, total)))
+    return QpRatioInstance(total, tuple(entries), bip, meta)
+
+
+def reference_intermediate_to_qpratio(inst, m, meta):
+    """The split instance built as one (i, j, w) triple per copy pair."""
+    entries = []
+    for i, j, w in inst.entries:
+        if w == 0.0:
+            continue
+        for ci in range(m):
+            for cj in range(m):
+                entries.append((i * m + ci, j * m + cj, w / m))
+    for i, dv in enumerate(inst.diag):
+        if dv == 0.0:
+            continue
+        for ci in range(m):
+            for cj in range(ci + 1, m):
+                entries.append((i * m + ci, i * m + cj, dv / m))
+    return QpRatioInstance(inst.n * m, tuple(entries), meta=meta)
 
 
 class TestFourier:
@@ -65,6 +123,12 @@ class TestFourier:
         f = BoolFn(t)
         back = fwht(f.fourier())
         assert np.allclose(back, f.table, atol=1e-12)
+
+    def test_sign_table_bit_order(self):
+        assert sign_table(2).tolist() == [[1, 1], [-1, 1], [1, -1], [-1, -1]]
+        assert sign_table(0).shape == (1, 0)
+        t = sign_table(5)
+        assert all(t[p, i] == (-1 if p >> i & 1 else 1) for p in range(32) for i in range(5))
 
     def test_r_cap(self):
         with pytest.raises(Exception):
@@ -107,6 +171,10 @@ class TestLinearL1:
         assert total > 2.0
 
 
+# (n, m, k): one literal, full-width clauses, and clauses over few and many variables
+KAND_SHAPES = [(1, 1, 1), (3, 2, 1), (4, 3, 2), (5, 7, 5), (6, 5, 3), (9, 12, 4), (12, 30, 3)]
+
+
 class TestKAnd:
     def test_shapes_and_determinism(self):
         inst = gen_kand(10, 20, 3, seed=4)
@@ -125,10 +193,30 @@ class TestKAnd:
         counts = satisfied_literal_counts(inst, z)
         assert int(np.sum(counts == 4)) >= round(0.25 * 40)
 
+    @pytest.mark.parametrize("v", [2.5, 2.0, 3, -1])
+    def test_variable_not_an_index_refused(self, v):
+        # the clause view casts variables to int64, so 2.5 would become 2
+        with pytest.raises(ValidationError, match="is not an integer in"):
+            KAndInstance(3, 2, (((0, 1), (v, -1)),))
+
+    def test_numpy_integer_variables_accepted(self):
+        inst = KAndInstance(3, 2, (((np.int64(0), 1), (np.int32(2), -1)),))
+        assert inst.literals[0].tolist() == [[0, 2]]
+
     def test_matrix_entries(self):
         inst = KAndInstance(3, 2, (((0, 1), (2, -1)),))
         a = kand_matrix(inst)
         assert a[0, 0] == 1.0 and a[0, 2] == -1.0 and a[0, 1] == 0.0
+
+    @pytest.mark.parametrize("n, m, k", KAND_SHAPES)
+    def test_clause_view_matches_the_loops(self, n, m, k):
+        for seed in range(3):
+            inst = gen_kand(n, m, k, seed)
+            assert np.array_equal(kand_matrix(inst), reference_kand_matrix(inst))
+            for x in rng_for(seed, 3).integers(-1, 2, size=(4, n)):
+                got = satisfied_literal_counts(inst, x)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, reference_satisfied_literal_counts(inst, x))
 
     def test_theta_single_full_clause(self):
         inst = KAndInstance(3, 3, (((0, 1), (1, 1), (2, -1)),))
@@ -165,6 +253,16 @@ class TestKandReduction:
         assert gv.tolist() == g
         assert mapping.mu_f(a) == pytest.approx(2 / 3)
         assert mapping.mu_g(a) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("n, m, k", KAND_SHAPES)
+    def test_matches_the_triple_loop(self, n, m, k):
+        for seed, planted in ((0, None), (1, None), (2, ([1, -1] * n)[:n])):
+            inst = gen_kand(n, m, k, seed, planted=planted, alpha=0.5)
+            for alpha in (1.0, 0.5, 1 / 3):
+                img, _ = kand_to_qpratio(inst, alpha)
+                want = reference_kand_to_qpratio(inst, alpha, img.meta)
+                assert instance_to_bytes(img) == instance_to_bytes(want)
+                assert img.bipartition == want.bipartition
 
     def test_bad_alpha_rejected(self):
         inst = gen_kand(3, 2, 2, seed=5)
@@ -352,6 +450,27 @@ class TestIntermediateSplit:
         intermediate_to_qpratio(QpIntermediateInstance(45, (), (0.0,) * 45), eps=1.0)
         with pytest.raises(BudgetExceeded, match="4278 variables"):
             intermediate_to_qpratio(QpIntermediateInstance(46, (), (0.0,) * 46), eps=1.0)
+
+    @pytest.mark.parametrize("eps", [1.0, 2.0, 4.0])
+    def test_matches_the_triple_loop(self, eps):
+        # hand cases with zero weights and zero diagonals, then random ones
+        cases = [
+            QpIntermediateInstance(1, (), (0.0,)),
+            QpIntermediateInstance(1, (), (-0.5,)),
+            QpIntermediateInstance(2, ((0, 1, 0.0),), (0.0, -1.0)),
+            QpIntermediateInstance(3, ((0, 2, -0.7), (0, 1, 0.0), (1, 2, 0.3)), (-0.2, 0.0, -0.0)),
+        ]
+        for seed in range(8):
+            rng = rng_for(seed, 11)
+            n = 2 + seed % 3
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.8]
+            weights = np.where(rng.random(len(pairs)) < 0.3, 0.0, rng.uniform(-1, 1, len(pairs)))
+            diag = np.where(rng.random(n) < 0.4, 0.0, -rng.random(n))
+            cases.append(QpIntermediateInstance(n, tuple((i, j, w) for (i, j), w in zip(pairs, weights)), diag))
+        for inst in cases:
+            img, m = intermediate_to_qpratio(inst, eps)
+            want = reference_intermediate_to_qpratio(inst, m, img.meta)
+            assert instance_to_bytes(img) == instance_to_bytes(want)
 
     def test_zero_matrix(self):
         inst = QpIntermediateInstance(2, (), (0.0, 0.0))

@@ -61,6 +61,18 @@ def test_no_import_inside_a_function():
     assert not local, "imports inside functions: " + ", ".join(local)
 
 
+def test_no_module_reads_the_entries_tuple():
+    # the tuple of (i, j, w) triples is built on first read; package code
+    # reads the canonical columns, inst.arrays, instead
+    reads = [
+        f"{name}.py:{node.lineno}"
+        for name in MODULES
+        for node in ast.walk(parse(name))
+        if isinstance(node, ast.Attribute) and node.attr == "entries"
+    ]
+    assert not reads, "reads of .entries: " + ", ".join(reads)
+
+
 def test_spectral_path_does_not_import_scipy():
     # importing scipy.sparse.linalg alone takes longer than the dense solves
     # at the sizes the spectral path serves
