@@ -74,6 +74,9 @@ class Assignment:
         else:
             vals = []
             for k, v in enumerate(np.asarray(obj).ravel().tolist()):
+                # float() parses "1" and b"1"; a string is never a component
+                if isinstance(v, (str, bytes)):
+                    raise ValidationError(f"assignment component {k} is {v!r}, not a number")
                 try:
                     iv = int(round(float(v)))
                 except (TypeError, ValueError, OverflowError):

@@ -6,13 +6,17 @@ identically on every run.
 
 The plain, normalized and weighted-bipartite 3^n oracles are one enumeration
 under three weightings.  It scores every assignment, but not one entry at a
-time: the variables split into a head and a tail of at most 8, and all
-assignments are scored at once as a 3^h x 3^t array from the two parts'
-quadratic forms and the head-tail cross block.  Those scores round
-differently from the per-entry reference formulas, so every assignment
-within a stated floating-point error bound of the best is rescored by the
-reference formulas before the first maximum is taken; the result is the one
-a per-entry enumeration of all 3^n rows gives.
+time: the variables split into a head and a tail of at most 8, the tail side
+(its grid, quadratic forms and weighted sizes) and each head row's quadratic
+form and cross block with the tail are built once, and the assignments are
+then scored as a stream of blocks of a few head rows against all 3^t tail
+rows.  Each block is a small array that stays in cache, and only the rows
+near the best score so far are kept, so memory grows with the number of
+near-ties of the best value, not with n.  Those
+scores round differently from the per-entry reference formulas, so every
+assignment within a stated floating-point error bound of the best is
+rescored by the reference formulas before the first maximum is taken; the
+result is the one a per-entry enumeration of all 3^n rows gives.
 """
 
 from __future__ import annotations
@@ -35,9 +39,16 @@ from .core import (
 )
 from .hardness import PartialLabeling, eval_ratio_ug
 
-# number of tail variables in the oracles' head x tail split: at n = 12 a
-# tail of 8 scores all assignments in 11 ms, against 15 ms for 4 or 6 and
-# 18 ms for 10 (one BLAS thread, 2-core x86-64)
+# head rows the 3^n oracles score per block, against all 3^8 tail rows
+# (3 x 6561 float64 arrays of 157 kB, in L2): at n = 12 blocks of 3 rows
+# score all assignments in 2.3-2.8 ms, against 3.3 ms for 1 row, 2.8-3.9 ms
+# for 9 and 5 ms for all 81 head rows at once; at n = 14, 16 ms for 3 rows,
+# 16-28 ms for 9 and 37 ms for 81 (one BLAS thread, 2-core x86-64)
+_HEAD_BLOCK = 3
+# number of tail variables in the oracles' head x tail split: with blocks of
+# 3 head rows, a tail of 8 scores n = 12 in 2.8 ms and n = 14 in 19 ms,
+# against 3.4-4.8 ms and 25-26 ms for tails of 6, 7 or 9 (the best block
+# size for each) and 13 and 49 ms for 10
 _TAIL = 8
 # grid points scored at once by grid_search_intermediate (a multiple of 64)
 _GRID_BLOCK = 1 << 16
@@ -45,17 +56,19 @@ _GRID_BLOCK = 1 << 16
 # labelings brute_force_ratio_ug scans
 _GRID_POINTS = 2_500_000
 _UG_LABELINGS = 200_000
-# largest n the 3^n oracles enumerate whatever their cap: their score arrays
-# take about 120 MB at n = 14 and grow 3x per variable
+# largest n the 3^n oracles enumerate whatever their cap: their memory does
+# not grow with n (1.3 MB traced at n = 14 when few assignments tie with the
+# best), but their time grows 3x per variable from about 16 ms at n = 14
 _ORACLE_MAX_N = 14
 
 
 def _assignment_grid(n: int) -> np.ndarray:
     """All of {-1,0,1}^n as rows, in lexicographic order with -1 < 0 < 1.
 
-    n = 0 gives the single empty row, shape (1, 0).
+    n = 0 gives the single empty row, shape (1, 0).  The array is stored
+    column-major, so its transpose (one row per variable) is contiguous.
     """
-    return np.ascontiguousarray(np.indices((3,) * n, dtype=np.int8).reshape(n, 3**n).T) - 1
+    return np.indices((3,) * n, dtype=np.int8).reshape(n, 3**n).T - 1
 
 
 def _numerators(inst, x_rows: np.ndarray) -> np.ndarray:
@@ -73,31 +86,44 @@ def _denominators(x_rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return den
 
 
-def _split_scores(
-    inst: QpRatioInstance, weights: np.ndarray, head: np.ndarray, tail: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Numerator and denominator of every assignment, as 3^h x 3^t arrays.
+def _split_scorer(inst: QpRatioInstance, weights: np.ndarray, head: np.ndarray, tail: np.ndarray):
+    """Scorer of blocks of head rows against the whole tail grid.
 
     ``head`` and ``tail`` are the grids of the first h and the last t
-    variables; entry [p, q] scores the assignment (head[p], tail[q]), so the
-    arrays read row-major are in lexicographic order.
+    variables.  The tail side (the grid transposed, its quadratic forms and
+    weighted sizes) and each head row's quadratic form, weighted size and
+    cross block with the tail are built once; ``score(start, stop)`` then
+    returns the numerators and denominators of head rows start..stop-1
+    against every tail row as (stop - start) x 3^t arrays.  Entry [p, q]
+    scores the assignment (head[start + p], tail[q]), so consecutive blocks
+    read row-major are in lexicographic order.
     """
     h = head.shape[1]
     a = inst.to_dense()
     xh = head.astype(np.float64)
-    xt = tail.astype(np.float64)
+    xt_t = tail.T.astype(np.float64)
     q_head = np.einsum("ri,ri->r", xh @ a[:h, :h], xh)
-    q_tail = np.einsum("ri,ri->r", xt @ a[h:, h:], xt)
-    num = (xh @ a[:h, h:]) @ xt.T
-    num *= 2.0
-    num += q_head[:, None]
-    num += q_tail[None, :]
-    den = (np.abs(xh) @ weights[:h])[:, None] + (np.abs(xt) @ weights[h:])[None, :]
-    return num, den
+    q_tail = np.einsum("ir,ir->r", a[h:, h:] @ xt_t, xt_t)
+    # doubling the cross block is exact, as doubling the product would be
+    cross = 2.0 * (xh @ a[:h, h:])
+    den_head = np.abs(xh) @ weights[:h]
+    den_tail = weights[h:] @ np.abs(xt_t)
+
+    def score(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        num = cross[start:stop] @ xt_t
+        num += q_head[start:stop, None]
+        num += q_tail
+        return num, np.add.outer(den_head[start:stop], den_tail)
+
+    return score
 
 
 def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    """num / den, with 0 where den = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = num / den
+    vals[den == 0] = 0.0
+    return vals
 
 
 def _brute_force(inst: QpRatioInstance, cap: int, weights: np.ndarray) -> tuple[Assignment, RatioValue]:
@@ -107,21 +133,33 @@ def _brute_force(inst: QpRatioInstance, cap: int, weights: np.ndarray) -> tuple[
     the normalized one.  Instances with n above ``cap``, or above 14 whatever
     ``cap`` says, are refused before anything is allocated.
 
-    Every assignment is scored by the head x tail split; the rows whose
-    score is within ``delta`` of the best are rescored by the reference
-    formulas (per entry in canonical entry order, denominators in index
-    order), and the first maximum of those is returned.
+    Every assignment is scored by the head x tail split, ``_HEAD_BLOCK``
+    head rows at a time; the rows whose score is within ``delta`` of the
+    best are rescored by the reference formulas (per entry in canonical
+    entry order, denominators in index order), and the first maximum of
+    those is returned.  A block keeps its rows within ``delta`` of the best
+    score seen so far, which never exceeds the final best, so no row within
+    ``delta`` of the final best is dropped; the rows kept are then cut to
+    that window.
 
-    ``scale``, the largest d_i / weights_i over degrees d_i > 0 (the largest
-    degree, or 1 when normalized), bounds sum_{i,j in supp x} |a_ij| / den(x)
-    for every x with den(x) > 0.  The reference numerator sums m terms in
-    sequence and the split one rounds at most 2n + 2 times along any path
-    (BLAS may sum in any order); each denominator rounds at most n times and
-    each quotient once.  With u = 2^-53, the two values of one row thus
-    differ by at most about (m + 4n + 8) u scale, and the first reference
-    maximizer scores within twice that of the best split score.  ``delta``
-    takes twice that again for the second-order terms and the rounding of
-    the degrees.  A finite sum of the degrees keeps every partial sum finite.
+    ``scale`` bounds sum_{i,j in supp x} |a_ij| / den(x) for every x with
+    den(x) > 0.  Let z_i = sum_{j: weights_j = 0} |a_ij|.  If no entry joins
+    two zero-weight vertices, every entry of the sum has an endpoint of
+    positive weight, and charging each entry at a zero-weight vertex to its
+    other endpoint bounds the sum by sum_{i in supp x, weights_i > 0} (d_i +
+    z_i), while den(x) = sum_{i in supp x, weights_i > 0} weights_i; so
+    ``scale`` = max over weights_i > 0 of (d_i + z_i) / weights_i.  With no
+    zero weight this is the largest d_i / weights_i (the largest degree, or
+    1 when normalized); an entry joining two zero-weight vertices makes it
+    infinite, and then every row is rescored.  The reference numerator sums
+    m terms in sequence and the split one rounds at most 2n + 2 times along
+    any path (BLAS may sum in any order); each denominator rounds at most n
+    times and each quotient once.  With u = 2^-53, the two values of one row
+    thus differ by at most about (m + 4n + 8) u scale, and the first
+    reference maximizer scores within twice that of the best split score.
+    ``delta`` takes twice that again for the second-order terms and the
+    rounding of the degrees.  A finite sum of the degrees keeps every
+    partial sum finite.
     """
     n = inst.n
     cap = min(cap, _ORACLE_MAX_N)
@@ -130,13 +168,29 @@ def _brute_force(inst: QpRatioInstance, cap: int, weights: np.ndarray) -> tuple[
     d = degrees(inst)
     if not np.isfinite(np.sum(d)):
         raise ValidationError("brute force refused: the sum of |a_ij| overflows float64")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = float(np.max(d / weights, where=d > 0, initial=0.0))
+    free = weights == 0
+    z = np.abs(inst.to_dense()) @ free
+    if np.any(z[free] > 0):
+        scale = math.inf
+    else:
+        scale = float(np.max((d + z)[~free] / weights[~free], initial=0.0))
     t = min(n, _TAIL)
     head, tail = _assignment_grid(n - t), _assignment_grid(t)
-    vals = _ratios(*_split_scores(inst, weights, head, tail))
+    score = _split_scorer(inst, weights, head, tail)
     delta = 4.0 * (inst.nnz + 4 * n + 8) * 2.0**-53 * scale
-    idx = np.flatnonzero(vals >= vals.max() - delta)
+    best = -math.inf
+    kept_idx, kept_vals = [], []
+    for start in range(0, head.shape[0], _HEAD_BLOCK):
+        vals = _ratios(*score(start, start + _HEAD_BLOCK)).ravel()
+        top = float(vals.max())
+        if top < best - delta:
+            continue
+        best = max(best, top)
+        idx = np.flatnonzero(vals >= best - delta)
+        kept_vals.append(vals[idx])
+        kept_idx.append(idx + start * tail.shape[0])
+    vals, idx = np.concatenate(kept_vals), np.concatenate(kept_idx)
+    idx = idx[vals >= best - delta]
     rows = np.hstack([head[idx // tail.shape[0]], tail[idx % tail.shape[0]]])
     num = _numerators(inst, rows)
     den = _denominators(rows, weights)

@@ -220,6 +220,18 @@ class TestInstanceValidation:
         with pytest.raises(ValidationError):
             FractionalAssignment((1.5,))
 
+    @pytest.mark.parametrize(
+        "values",
+        [["1", "0", "-1"], [b"1", b"0", b"-1"], np.array(["1", "0", "-1"]), [1, "0", -1], ("-1", -1, 1)],
+    )
+    def test_assignment_strings_refused(self, values):
+        # float("1") parses, so these would score as (1, 0, -1)
+        with pytest.raises(ValidationError, match="not a number"):
+            eval_qp_ratio(gen_star(2), values)
+
+    def test_numeric_assignments_still_coerce(self):
+        assert Assignment.coerce([1.0, np.int64(0), np.int8(-1)]).values == (1, 0, -1)
+
     def test_ratio_value_zero_denominator(self):
         assert RatioValue.of(0.0, 0.0).value == 0.0
 

@@ -7,6 +7,7 @@ import pytest
 from qpratio import exact
 from qpratio.core import (
     Assignment,
+    EntryArrays,
     QpIntermediateInstance,
     QpRatioInstance,
     ValidationError,
@@ -16,7 +17,7 @@ from qpratio.core import (
 from qpratio.exact import (
     BudgetExceeded,
     _assignment_grid,
-    _split_scores,
+    _split_scorer,
     brute_force_normalized,
     brute_force_qp_ratio,
     brute_force_ratio_ug,
@@ -65,8 +66,89 @@ def oracle_instances():
     yield "float-tie", QpRatioInstance(3, ((0, 2, 0.2), (1, 2, 0.1)))
 
 
+def reference_brute_force(inst, weights):
+    """The one-array oracle the blocked stream replaced.
+
+    All 3^n split scores at once as one 3^h x 3^t array, every row within
+    delta of the best rescored per entry, scale = max d_i / weights_i (so
+    infinite, and every row rescored, when a vertex with an entry has
+    weight 0); returns (assignment, numerator, denominator).
+    """
+    n = inst.n
+    d = degrees(inst)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = float(np.max(d / weights, where=d > 0, initial=0.0))
+    t = min(n, 8)
+    h = n - t
+    head, tail = _assignment_grid(h), _assignment_grid(t)
+    a = inst.to_dense()
+    xh, xt = head.astype(np.float64), tail.astype(np.float64)
+    q_head = np.einsum("ri,ri->r", xh @ a[:h, :h], xh)
+    q_tail = np.einsum("ri,ri->r", xt @ a[h:, h:], xt)
+    num = 2.0 * ((xh @ a[:h, h:]) @ xt.T) + q_head[:, None] + q_tail[None, :]
+    den = (np.abs(xh) @ weights[:h])[:, None] + (np.abs(xt) @ weights[h:])[None, :]
+    vals = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    delta = 4.0 * (inst.nnz + 4 * n + 8) * 2.0**-53 * scale
+    idx = np.flatnonzero(vals >= vals.max() - delta)
+    rows = np.hstack([head[idx // 3**t], tail[idx % 3**t]])
+    num = exact._numerators(inst, rows)
+    den = exact._denominators(rows, weights)
+    k = int(np.argmax(np.divide(num, den, out=np.zeros_like(num), where=den > 0)))
+    return tuple(int(v) for v in rows[k]), num[k], den[k]
+
+
+def bipartite_case(matrix, left_weight):
+    """The instance and weights brute_force_weighted_bipartite builds."""
+    a = np.asarray(matrix, dtype=np.float64)
+    nl, nr = a.shape
+    li, rj = np.nonzero(a)
+    inst = QpRatioInstance(nl + nr, EntryArrays(li, nl + rj, a[li, rj]))
+    return inst, np.repeat([float(left_weight), 1.0], [nl, nr])
+
+
+def weighted_cases():
+    """(name, instance, weights) for the block tests, zero weights included."""
+    for name, inst in oracle_instances():
+        yield name, inst, np.ones(inst.n)
+        yield f"{name}-normalized", inst, degrees(inst)
+    for seed in range(6):
+        rng = rng_for(seed, 22)
+        shape = (int(rng.integers(1, 5)), int(rng.integers(1, 6)))
+        a = rng.uniform(-1, 1, shape) * (rng.random(shape) < 0.7)
+        for w in (0, 1, 3):
+            yield f"bipartite-{seed}-w{w}", *bipartite_case(a, w)
+    # isolated vertices have degree 0, so weight 0 when normalized
+    sparse = random_instance(10, seed=4, density=0.15)
+    yield "isolated-normalized", sparse, degrees(sparse)
+    # an entry joining two weight-0 vertices makes the error scale infinite
+    joined = QpRatioInstance(4, ((0, 1, 1.0), (1, 2, -0.5), (2, 3, 0.25)))
+    yield "zero-weight-pair", joined, np.array([0.0, 0.0, 1.0, 2.0])
+
+
 def ulps(a, b):
     return abs(a - b) / np.spacing(max(abs(a), abs(b)))
+
+
+def spy_rescored(monkeypatch):
+    """A list that records how many rows each reference rescoring takes."""
+    rescored = []
+    numerators = exact._numerators
+
+    def spy(inst, rows):
+        rescored.append(rows.shape[0])
+        return numerators(inst, rows)
+
+    monkeypatch.setattr(exact, "_numerators", spy)
+    return rescored
+
+
+def traced_peak(oracle, inst):
+    tracemalloc.start()
+    try:
+        oracle(inst, cap=14)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestBruteForce:
@@ -91,8 +173,7 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("oracle", [brute_force_qp_ratio, brute_force_normalized])
     def test_refused_past_n14_whatever_the_cap(self, oracle):
-        # n = 15 would take three 3^15 float64 arrays (about 350 MB); the
-        # refusal comes before anything is allocated
+        # the refusal comes before anything is allocated
         with pytest.raises(BudgetExceeded, match="n=15 exceeds cap=14"):
             oracle(QpRatioInstance(15, ()), cap=20)
 
@@ -126,7 +207,7 @@ class TestSplitEnumeration:
 
     def test_split_matches_per_entry_scores(self):
         # n <= 8 has an empty head (h = 0), n = 9 a one-variable head
-        for n in range(1, 10):
+        for n in range(1, 11):
             inst = random_instance(n, seed=n, density=0.7)
             t = min(n, 8)
             head, tail = _assignment_grid(n - t), _assignment_grid(t)
@@ -134,10 +215,38 @@ class TestSplitEnumeration:
             ref_num = exact._numerators(inst, rows)
             scale = 2.0 * sum(abs(w) for _, _, w in inst.entries)
             for weights in (np.ones(n), degrees(inst)):
-                num, den = _split_scores(inst, weights, head, tail)
+                score = _split_scorer(inst, weights, head, tail)
+                num, den = score(0, head.shape[0])
                 assert num.shape == den.shape == (3 ** (n - t), 3**t)
-                np.testing.assert_allclose(num.ravel(), ref_num, rtol=1e-12, atol=1e-12 * scale)
-                np.testing.assert_allclose(den.ravel(), np.abs(rows) @ weights, rtol=1e-12)
+                # blocks of two head rows, read one after another, score the
+                # same rows (BLAS may round a block's products differently)
+                blocks = [score(s, s + 2) for s in range(0, head.shape[0], 2)]
+                for num, den in ((num, den), tuple(np.vstack(b) for b in zip(*blocks))):
+                    np.testing.assert_allclose(num.ravel(), ref_num, rtol=1e-12, atol=1e-12 * scale)
+                    np.testing.assert_allclose(den.ravel(), np.abs(rows) @ weights, rtol=1e-12)
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 3**6])
+    def test_head_blocks_match_one_array(self, monkeypatch, block):
+        monkeypatch.setattr(exact, "_HEAD_BLOCK", block)
+        for name, inst, weights in weighted_cases():
+            values, num, den = reference_brute_force(inst, weights)
+            a, v = exact._brute_force(inst, 14, weights)
+            assert a.values == values, name
+            assert (v.numerator, v.denominator) == (num, den), name
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 3**6])
+    def test_near_ties_in_later_blocks_are_rescored(self, monkeypatch, block):
+        # a matching of six weight-0.1 edges: the 3^6 - 1 unions of aligned
+        # edges all score 0.1 exactly, but their split scores differ in the
+        # last bits, so a block whose best is just under the running best
+        # still holds rows of the final window
+        inst = QpRatioInstance(12, tuple((i, 11 - i, 0.1) for i in range(6)))
+        monkeypatch.setattr(exact, "_HEAD_BLOCK", block)
+        rescored = spy_rescored(monkeypatch)
+        a, v = brute_force_qp_ratio(inst)
+        assert rescored == [3**6 - 1]
+        values, num, den = reference_brute_force(inst, np.ones(12))
+        assert (a.values, v.numerator, v.denominator) == (values, num, den)
 
     def test_plain_oracle_bit_identical_to_full_grid(self):
         for name, inst in oracle_instances():
@@ -161,14 +270,7 @@ class TestSplitEnumeration:
     def test_tiny_weights_keep_argmax_and_shortlist(self, monkeypatch):
         base = random_instance(10, seed=3, density=0.6)
         inst = QpRatioInstance(10, tuple((i, j, w * 1e-12) for i, j, w in base.entries))
-        rescored = []
-        numerators = exact._numerators
-
-        def spy(inst, rows):
-            rescored.append(rows.shape[0])
-            return numerators(inst, rows)
-
-        monkeypatch.setattr(exact, "_numerators", spy)
+        rescored = spy_rescored(monkeypatch)
         rows, num, den, k = full_grid_oracle(inst, normalized=False)
         a, v = brute_force_qp_ratio(inst)
         assert a.values == tuple(int(x) for x in rows[k])
@@ -184,14 +286,12 @@ class TestSplitEnumeration:
 
     @pytest.mark.parametrize("oracle", [brute_force_qp_ratio, brute_force_normalized])
     def test_peak_memory_at_n12(self, oracle):
-        inst = random_instance(12, seed=1, density=0.4)
-        tracemalloc.start()
-        try:
-            oracle(inst)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 24e6
+        assert traced_peak(oracle, random_instance(12, seed=1, density=0.4)) < 4e6
+
+    @pytest.mark.parametrize("oracle", [brute_force_qp_ratio, brute_force_normalized])
+    def test_peak_memory_at_n14(self, oracle):
+        # one 3^14 score array alone would take 38 MB
+        assert traced_peak(oracle, random_instance(14, seed=1, density=0.4)) < 4e6
 
 
 class TestBruteForceNormalized:
@@ -349,6 +449,16 @@ class TestWeightedBipartite:
         # with weight 0 the left side is free: x = y = 1 gives 2 * 1 / (0 + 1)
         assert brute_force_weighted_bipartite([[1.0]], 0) == 2.0
         assert brute_force_weighted_bipartite(np.zeros((0, 0)), 1) == 0.0
+
+    def test_zero_left_weight_rescores_a_short_list(self, monkeypatch):
+        # weight 0 on the left: the error scale charges each left vertex's
+        # entries to the right side, so it stays finite and few rows are
+        # rescored (an infinite scale would rescore all 3^12)
+        a = rng_for(5, 23).uniform(-1, 1, (5, 7))
+        rescored = spy_rescored(monkeypatch)
+        got = brute_force_weighted_bipartite(a, 0)
+        assert len(rescored) == 1 and rescored[0] <= 16
+        assert abs(got - reference_weighted_bipartite(a, 0)) <= 1e-15
 
     def test_refused_past_14_variables_whatever_the_cap(self):
         with pytest.raises(BudgetExceeded, match="exceeds cap=14"):
