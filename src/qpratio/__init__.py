@@ -64,6 +64,7 @@ from .spectral import (
     normalized_eig_value,
     psd_polylog_round,
     solve_high_opt,
+    top_eigenvalue_bound,
     trevisan_round,
 )
 

@@ -183,11 +183,12 @@ def _run_algo(inst: core.QpRatioInstance, algo: str, seed: int, eps: float):
     if algo == "psd":
         if not inst.nnz:
             return core.trivial_solution(inst)
-        res = spectral.eigen_max(inst.to_dense(), seed=seed)
-        # canonical PSD completion: lift the diagonal by |min eigenvalue|
-        shift = max(0.0, -res.lambda_min) * (1.0 + 1e-9) + 1e-12
-        diag = np.full(inst.n, shift)
-        return spectral.psd_polylog_round(inst, res.vector, diag=diag)
+        m = inst.to_dense()
+        res = spectral.eigen_max(m, seed=seed)
+        # canonical PSD completion: lift the diagonal by the certified top
+        # eigenvalue of -A, which proves A + shift I positive definite
+        shift = max(0.0, spectral.top_eigenvalue_bound(-m))
+        return spectral.psd_polylog_round(inst, res.vector, diag=np.full(inst.n, shift))
     if algo == "high-opt":
         return spectral.solve_high_opt(inst, eps, seed=seed)
     raise ValidationError(f"unknown algorithm {algo!r}")
@@ -479,9 +480,15 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--grid-eps", dest="grid_eps", type=float, default=0.1)
     e.set_defaults(func=cmd_exact)
 
-    r = sub.add_parser("relax", help="eigenvalue bounds or a vector-relaxation primal value")
+    r = sub.add_parser("relax", help="certified eigenvalue bounds or a vector-relaxation primal value")
     r.add_argument("instance")
-    r.add_argument("--method", required=True, choices=["eig", "normalized-eig", "sdp"])
+    r.add_argument(
+        "--method",
+        required=True,
+        choices=["eig", "normalized-eig", "sdp"],
+        help="eig: certified upper bound on the top eigenvalue of A; normalized-eig: certified upper "
+        "bound on the top eigenvalue of D^-1/2 A D^-1/2; sdp: a vector-relaxation primal value",
+    )
     r.add_argument("--rank", type=int)
     r.add_argument("--restarts", type=int, default=3)
     r.add_argument("--seed", type=int, default=0)

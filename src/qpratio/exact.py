@@ -36,6 +36,7 @@ from .core import (
     RatioValue,
     ValidationError,
     degrees,
+    restrict,
 )
 from .hardness import PartialLabeling, eval_ratio_ug
 
@@ -131,7 +132,10 @@ def _brute_force(inst: QpRatioInstance, cap: int, weights: np.ndarray) -> tuple[
 
     The weights are nonnegative: all 1 for the plain ratio, the degrees for
     the normalized one.  Instances with n above ``cap``, or above 14 whatever
-    ``cap`` says, are refused before anything is allocated.
+    ``cap`` says, are refused before anything is allocated.  An instance
+    without entries returns all -1 at once, and zero-weight variables without
+    entries are set to -1 before the rest is enumerated: in both cases that is
+    the first maximizer, and the enumeration no longer keeps every tied row.
 
     Every assignment is scored by the head x tail split, ``_HEAD_BLOCK``
     head rows at a time; the rows whose score is within ``delta`` of the
@@ -168,7 +172,22 @@ def _brute_force(inst: QpRatioInstance, cap: int, weights: np.ndarray) -> tuple[
     d = degrees(inst)
     if not np.isfinite(np.sum(d)):
         raise ValidationError("brute force refused: the sum of |a_ij| overflows float64")
+    if not inst.nnz:
+        # every assignment scores 0, so the first one, all -1, is the maximizer
+        first = np.full((1, n), -1, dtype=np.int8)
+        return Assignment((-1,) * n), RatioValue.of(0.0, _denominators(first, weights)[0])
     free = weights == 0
+    idle = free.copy()
+    idle[inst.arrays[0]] = idle[inst.arrays[1]] = False
+    if idle.any():
+        # a zero-weight variable with no entries changes no score, so the first
+        # maximizer sets it to -1; the others are enumerated on their own, in
+        # the same order, and their entries and weighted sizes keep their order
+        sub, kept = restrict(inst, np.flatnonzero(~idle))
+        a, val = _brute_force(sub, cap, weights[kept])
+        values = np.full(n, -1, dtype=np.int64)
+        values[kept] = a.values
+        return Assignment(tuple(values.tolist())), val
     z = np.abs(inst.to_dense()) @ free
     if np.any(z[free] > 0):
         scale = math.inf

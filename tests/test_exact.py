@@ -294,6 +294,31 @@ class TestSplitEnumeration:
         assert traced_peak(oracle, random_instance(14, seed=1, density=0.4)) < 4e6
 
 
+class TestVariablesWithoutEntries:
+    """Variables without entries are settled before enumerating: an instance
+    without entries returns all -1 at once, and zero-weight variables without
+    entries are set to -1, the first maximizer's value, so neither keeps the
+    3^n tied rows."""
+
+    def test_empty_instance_returns_all_minus_one(self):
+        a, v = brute_force_qp_ratio(QpRatioInstance(14, ()), cap=14)
+        assert a.values == (-1,) * 14
+        assert (v.numerator, v.denominator, v.value) == (0.0, 14.0, 0.0)
+
+    def test_first_maximizer_kept_at_n6(self):
+        insts = [QpRatioInstance(6, ((i, j, w),)) for i in range(6) for j in range(i + 1, 6) for w in (1.5, -0.5)]
+        insts += [random_instance(6, seed=s, density=0.3) for s in range(20)]
+        insts += [QpRatioInstance(6, ())]
+        for inst in insts:
+            for weights, oracle in ((np.ones(6), brute_force_qp_ratio), (degrees(inst), brute_force_normalized)):
+                a, v = oracle(inst)
+                assert (a.values, v.numerator, v.denominator) == reference_brute_force(inst, weights)
+
+    def test_peak_memory(self):
+        assert traced_peak(brute_force_qp_ratio, QpRatioInstance(14, ())) <= 4e6
+        assert traced_peak(brute_force_normalized, QpRatioInstance(14, ((0, 1, 1.0),))) <= 4e6
+
+
 class TestBruteForceNormalized:
     def test_single_negative_edge(self):
         a, v = brute_force_normalized(QpRatioInstance(2, ((0, 1, -1.0),)))

@@ -85,7 +85,7 @@ inst = generators.random_instance(400, 1, density=0.05)
 spectral.eig_relaxation_value(inst, seed=1)
 spectral.normalized_eig(inst, seed=1)
 top = spectral.eigen_max(inst.to_dense(), seed=1)
-shift = max(0.0, -top.lambda_min) * (1.0 + 1e-9) + 1e-12
+shift = max(0.0, spectral.top_eigenvalue_bound(-inst.to_dense()))
 spectral.psd_polylog_round(inst, top.vector, diag=np.full(inst.n, shift))
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """

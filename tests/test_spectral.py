@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qpratio import core
+from qpratio import core, spectral
 from qpratio.core import (
     Assignment,
     QpRatioInstance,
@@ -29,6 +29,7 @@ from qpratio.spectral import (
     normalized_eig_value,
     psd_polylog_round,
     solve_high_opt,
+    top_eigenvalue_bound,
     trevisan_round,
 )
 from qpratio.rounding import solve_general
@@ -147,17 +148,23 @@ class TestEigenMax:
             eigen_max((b + b.T) / 2.0, tol=0.0)
         assert exc.value.best_residual > 0
 
-    def test_lambda_min_matches_eigvalsh(self):
+    def test_certified_shift_brackets_lambda_min(self):
+        # the psd completion's shift, the certified top eigenvalue of -A, is
+        # at least -lambda_min and proves A + shift I positive definite
         rng = rng_for(14)
         mats = [(b + b.T) / 2.0 for b in (rng.uniform(-1, 1, (n, n)) for n in (1, 2, 7, 40, 120))]
         mats += [gen_level_graph(LevelGraphParams(eps=0.5)).to_dense(), gen_star(9).to_dense()]
+        mats += [random_instance(400, seed=1, density=0.05).to_dense()]
         for m in mats:
-            scale = float(np.max(np.abs(m)))
-            assert abs(eigen_max(m).lambda_min - np.linalg.eigvalsh(m)[0]) <= 1e-12 * scale
+            low = float(np.linalg.eigvalsh(m)[0])
+            shift = top_eigenvalue_bound(-m)
+            assert 0.0 <= shift + low <= 1e-11 * max(1.0, abs(low))
+            np.linalg.cholesky(m + shift * np.eye(m.shape[0]))
 
-    def test_matches_eigvalsh(self):
-        # the top eigenvalue is eigvalsh's, bit for bit, and the vector is the
-        # seeded projection onto the top eigenspace whichever path computed it
+    def test_brackets_eigvalsh(self):
+        # the top eigenvalue lies within 1e-11 of eigvalsh's (relative to the
+        # spectral norm), and the vector is the seeded projection onto the
+        # top eigenspace whichever path computed it
         rng = rng_for(15)
         mats = []
         for n in (2, 3, 5, 8, 13, 30, 60, 120):
@@ -170,21 +177,47 @@ class TestEigenMax:
             inst = random_instance(120, seed=seed, density=0.3)
             mats += [inst.to_dense(), normalized_matrix(inst)]
         mats.append(normalized_matrix(gen_bipartite_gap(64, seed=3)))
+        inst = random_instance(400, seed=1, density=0.05)
+        mats += [inst.to_dense(), -inst.to_dense(), normalized_matrix(inst)]
+        level = gen_level_graph(LevelGraphParams(eps=1.0 / 3.0))
+        mats += [level.to_dense(), normalized_matrix(level)]
         for k, m in enumerate(mats):
             res = eigen_max(m, seed=k)
-            assert res.lambda_max == float(np.linalg.eigvalsh(m)[-1])
+            w = np.linalg.eigvalsh(m)
+            assert abs(res.lambda_max - w[-1]) <= 1e-11 * max(abs(w[0]), abs(w[-1]))
             assert res.residual <= 1e-10
             assert np.max(np.abs(res.vector - reference_projection(m, seed=k))) <= 1e-9
 
-    def test_simple_top_eigenvalue_needs_no_eigh(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("eigh was called")
+    @pytest.mark.parametrize("which", ["level-graph", "random-n800"])
+    def test_krylov_path_makes_no_dense_solve(self, monkeypatch, which):
+        # past _KRYLOV_MIN_N the bound and the eigenpair come from a Lanczos
+        # run (whose k x k tridiagonal eigh is allowed) and one Cholesky each
+        if which == "level-graph":
+            inst = gen_level_graph(LevelGraphParams(eps=1.0 / 3.0))
+        else:
+            inst = random_instance(800, seed=1, density=0.05)
+        m = inst.to_dense()
+        n = inst.n
+        choleskys = []
 
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
-        level = gen_level_graph(LevelGraphParams(eps=1.0 / 3.0))
-        for m in (random_instance(400, seed=1, density=0.05).to_dense(), level.to_dense()):
-            assert eigen_max(m, seed=1).residual <= 1e-10
-        normalized_eig(level, seed=1)
+        def refuse_n_by_n(name, real):
+            def call(a, *args, **kwargs):
+                if np.shape(a)[0] == n:
+                    raise AssertionError(f"{name} was called on an n x n matrix")
+                return real(a, *args, **kwargs)
+
+            return call
+
+        for name in ("eigvalsh", "eigh", "solve"):
+            monkeypatch.setattr(np.linalg, name, refuse_n_by_n(name, getattr(np.linalg, name)))
+        real_cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: choleskys.append(a.shape) or real_cholesky(a))
+
+        assert eig_relaxation_value(inst) > 0
+        assert choleskys == [(n, n)]
+        res = eigen_max(m, seed=1)
+        assert res.residual <= 1e-10 and res.iterations > 1
+        assert choleskys == [(n, n)] * 2
 
     def test_repeated_top_eigenvalue_keeps_seeded_direction(self):
         # every vector of the top eigenspace is an eigenvector; the seed picks
@@ -240,14 +273,18 @@ class TestRelaxationValues:
             val, x = normalized_eig(inst, seed=seed)
             assert eval_normalized_fractional(inst, x).value == pytest.approx(val, abs=1e-8)
 
-    def test_values_equal_eigvalsh(self):
+    def test_values_bracket_eigvalsh(self):
+        # each bound is at or above eigvalsh's top eigenvalue, by at most
+        # 1e-11 of it, and above the Rayleigh value of normalized_eig's witness
         insts = [random_instance(n, seed=n, density=0.3) for n in (5, 40, 150)]
         insts += [gen_level_graph(LevelGraphParams(eps=0.5)), gen_bipartite_gap(64, seed=3), gen_star(9)]
+        insts += [random_instance(400, seed=2, density=0.05)]
         for inst in insts:
-            assert eig_relaxation_value(inst) == float(np.linalg.eigvalsh(inst.to_dense())[-1])
+            want = float(np.linalg.eigvalsh(inst.to_dense())[-1])
+            assert 0.0 <= eig_relaxation_value(inst) - want <= 1e-11 * abs(want)
             want = float(np.linalg.eigvalsh(normalized_matrix(inst))[-1])
-            assert normalized_eig_value(inst) == pytest.approx(want, rel=0, abs=1e-12)
-            assert normalized_eig_value(inst) == normalized_eig(inst)[0]
+            assert 0.0 <= normalized_eig_value(inst) - want <= 1e-11 * abs(want)
+            assert normalized_eig(inst)[0] <= normalized_eig_value(inst)
 
     def test_deterministic_given_seed(self):
         inst = random_instance(12, seed=55)
@@ -255,6 +292,83 @@ class TestRelaxationValues:
         r2 = eigen_max(inst.to_dense(), seed=4)
         assert r1.lambda_max == r2.lambda_max
         assert np.array_equal(r1.vector, r2.vector)
+
+
+def tight_instances(count, seed):
+    """Instances whose eigenvalue bound equals OPT in exact arithmetic:
+    equal-weight cliques, single edges and alternating-sign cliques (sign
+    switching makes them equal-weight), n = 2..6, weights in [0.1, 10]."""
+    rng = rng_for(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        w = float(rng.uniform(0.1, 10.0))
+        kind = int(rng.integers(3))
+        if kind == 1:
+            i, j = sorted(rng.choice(n, 2, replace=False).tolist())
+            yield QpRatioInstance(n, ((i, j, w),))
+        else:
+            sign = (lambda i, j: 1.0) if kind == 0 else (lambda i, j: (-1.0) ** (i + j))
+            yield QpRatioInstance(n, tuple((i, j, sign(i, j) * w) for i in range(n) for j in range(i + 1, n)))
+
+
+class TestCertifiedBounds:
+    """Every bound is proved: never below an attained value, and at most
+    1e-11 (relative) above eigvalsh on the benchmark's instances."""
+
+    def test_tight_instances_never_below_opt(self):
+        from qpratio.exact import brute_force_normalized
+
+        for inst in tight_instances(3000, seed=21):
+            assert eig_relaxation_value(inst) >= brute_force_qp_ratio(inst)[1].value
+            assert normalized_eig_value(inst) >= brute_force_normalized(inst)[1].value
+
+    def test_triangle_value_within_bound(self):
+        # eigvalsh gives 1.9999999999999996 here, below the attained 2.0
+        k3 = QpRatioInstance(3, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)))
+        assert solve_general(k3, seed=1)[1].value <= eig_relaxation_value(k3)
+
+    def test_margin_over_eigvalsh_on_benchmark_instances(self):
+        insts = [random_instance(n, seed=s, density=0.3) for n in (60, 100, 140) for s in (1, 2)]
+        insts += [gen_bipartite_gap(64, seed=s) for s in (1, 2)]
+        insts += [random_instance(400, seed=s, density=0.05) for s in range(1, 7)]
+        insts += [random_instance(800, seed=1, density=0.05), gen_level_graph(LevelGraphParams(eps=1.0 / 3.0))]
+        for inst in insts:
+            for bound, m in (
+                (eig_relaxation_value(inst), inst.to_dense()),
+                (normalized_eig_value(inst), normalized_matrix(inst)),
+            ):
+                want = float(np.linalg.eigvalsh(m)[-1])
+                assert 0.0 <= bound - want <= 1e-11 * abs(want)
+
+    def test_refused_estimate_falls_back_to_eigvalsh(self, monkeypatch):
+        # an estimate far below the top eigenvalue is refused at every
+        # widened shift; the bound then comes from a certified eigvalsh
+        inst = random_instance(400, seed=3, density=0.05)
+        want = float(np.linalg.eigvalsh(inst.to_dense())[-1])
+        monkeypatch.setattr(spectral, "_krylov_top", lambda a, start, tol: (want - 1.0, None, 1))
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
+        assert 0.0 <= eig_relaxation_value(inst) - want <= 1e-11 * want
+        assert calls == [(400, 400)]
+
+    def test_widened_shift_still_proves(self):
+        m = random_instance(400, seed=3, density=0.05).to_dense()
+        want = float(np.linalg.eigvalsh(m)[-1])
+        c = spectral._offset(m)
+        assert spectral._certify(m, want - 1.0) is None
+        assert want <= spectral._certify(m, want - 4.0 * c) <= want + 32.0 * c
+
+    def test_lower_ritz_pair_is_never_returned(self, monkeypatch):
+        # a converged pair that is not the top one passes the residual test
+        # but not the Cholesky above it, so eigen_max takes the dense path
+        m = random_instance(400, seed=4, density=0.05).to_dense()
+        w, vecs = np.linalg.eigh(m)
+        monkeypatch.setattr(spectral, "_krylov_top", lambda a, start, tol: (float(w[-2]), vecs[:, -2].copy(), 50))
+        res = eigen_max(m, seed=1)
+        assert res.iterations == 1
+        assert abs(res.lambda_max - w[-1]) <= 1e-12 * abs(w[-1])
+        assert np.max(np.abs(res.vector - reference_projection(m, seed=1))) <= 1e-9
 
 
 class TestTrevisanRound:
@@ -395,7 +509,7 @@ class TestPsdRound:
         insts += [gen_level_graph(LevelGraphParams(eps=0.5)), gen_bipartite_gap(64, seed=3), gen_star(20)]
         for k, inst in enumerate(insts):
             top = eigen_max(inst.to_dense(), seed=k)
-            diag = np.full(inst.n, max(0.0, -top.lambda_min) * (1.0 + 1e-9) + 1e-12)
+            diag = np.full(inst.n, max(0.0, top_eigenvalue_bound(-inst.to_dense())))
             vectors = [top.vector, rng_for(16, k).standard_normal(inst.n)]
             for x in vectors:
                 assert psd_polylog_round(inst, x, diag=diag) == reference_psd_polylog_round(inst, x, diag)
