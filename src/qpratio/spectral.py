@@ -98,13 +98,14 @@ def _krylov_top(a: np.ndarray, start: np.ndarray, tol: float):
     when the first projection removed more than half its norm, so the basis
     stays orthonormal to working precision and no spurious copy of a
     converged Ritz value appears.  The basis array grows by doubling.  The
-    k x k tridiagonal eigenproblem goes to numpy.linalg.eigh at steps 8, 10,
-    12, 15, 18, ... (a quarter more each time), where its O(k^3) cost stays
-    below that of the products.  There the top Ritz pair (theta, y) has
-    residual ||a y - theta y|| = beta |s_k| (the next off-diagonal times the
-    last component of the tridiagonal eigenvector), and with gap the distance
-    from theta to the next Ritz value the run stops once that residual is at
-    most tol min(1, gap): then y's angle to the top eigenvector, about
+    k x k tridiagonal eigenproblem goes to numpy.linalg.eigh at step 8, then
+    12, then where _next_check expects convergence (at most half again as
+    many steps), so its O(k^3) cost stays below that of the products.  There
+    the top Ritz pair (theta, y) has residual ||a y - theta y|| = beta |s_k|
+    (the next off-diagonal times the last component of the tridiagonal
+    eigenvector), and with gap the distance from theta to the next Ritz value
+    the run stops once that residual is at most tol min(1, gap): then y's
+    angle to the top eigenvector, about
     residual / gap, is at most tol, and theta's error, about residual^2 / gap,
     at most tol^2.  A residual that reaches 0 ends the run too.
 
@@ -159,20 +160,26 @@ def _krylov_top(a: np.ndarray, start: np.ndarray, tol: float):
 def _next_check(k: int, res: float, target: float, last) -> int:
     """Steps to the next convergence check of _krylov_top: where the residual's
     decay rate since the last check would meet the target, at least 1 and at
-    most k // 2 steps on, and k // 2 while there is no rate yet."""
-    if last is None or not 0.0 < res < last[1]:
+    most k // 2 steps on, and k // 2 while there is no rate yet (or no
+    positive target to aim at)."""
+    if last is None or not 0.0 < res < last[1] or not target > 0.0:
         return max(1, k // 2)
     rate = math.log(last[1] / res) / (k - last[0])
-    return min(max(1, k // 2), max(1, math.ceil(math.log(res / target) / rate)))
+    return max(1, min(k // 2, math.ceil(min(math.log(res / target) / rate, k))))
+
+
+def _shifted(a: np.ndarray, mu: float) -> np.ndarray:
+    """mu I - a, as a new array."""
+    h = -a
+    h.flat[:: a.shape[0] + 1] += mu
+    return h
 
 
 def _cholesky_above(a: np.ndarray, mu: float) -> np.ndarray | None:
     """The lower Cholesky factor of mu I - a (lower triangle of a read), or
     None when the factorization refuses it."""
-    h = -a
-    h.flat[:: a.shape[0] + 1] += mu
     try:
-        return np.linalg.cholesky(h)
+        return np.linalg.cholesky(_shifted(a, mu))
     except np.linalg.LinAlgError:
         return None
 
@@ -213,7 +220,10 @@ def _certify(a: np.ndarray, lam: float) -> float | None:
     the bound sits 2c to 3c above lam, and c is also the room the first shift
     leaves for lam's own error.  A refused factorization means mu is not
     above the top eigenvalue (to rounding); the shift then grows 16-fold,
-    at most _WIDENINGS times.
+    at most _WIDENINGS times, so a proved bound is at most about 4096 c
+    above lam.  That happens when the estimate is off by more than c: a
+    Lanczos run on a top pair 1e-8 apart (gap below its residual) stopped
+    1e-8 low, and its bound came from the third widening.
     """
     n = a.shape[0]
     c = _offset(a)
@@ -257,7 +267,7 @@ def _top_bound(a: np.ndarray) -> float:
 
 def top_eigenvalue_bound(matrix) -> float:
     """A proved upper bound on the largest eigenvalue of a symmetric matrix,
-    at most about 2 (n + 2) 2^-53 ||A||_F above it (see _certify)."""
+    typically 2c to 3c above it, c = (n + 2) 2^-53 ||A||_F (see _certify)."""
     return _top_bound(_symmetric(matrix))
 
 
@@ -318,10 +328,8 @@ def eigen_max(matrix, tol: float = 1e-10, seed: int = 0) -> EigenResult:
 def _inverse_iteration(a: np.ndarray, lam: float, start: np.ndarray) -> np.ndarray | None:
     """The solution of (lam I - a) v = start, normalized with v . start > 0,
     or None when the solve is singular or does not give a finite direction."""
-    shifted = -a
-    shifted.flat[:: a.shape[0] + 1] += lam
     try:
-        v = np.linalg.solve(shifted, start)
+        v = np.linalg.solve(_shifted(a, lam), start)
     except np.linalg.LinAlgError:
         return None
     norm = float(np.linalg.norm(v))
@@ -376,7 +384,12 @@ def normalized_eig(inst: QpRatioInstance, seed: int = 0) -> tuple[float, np.ndar
 
 def normalized_eig_value(inst: QpRatioInstance) -> float:
     """Certified upper bound on the top eigenvalue of D^{-1/2} A D^{-1/2}, and
-    so on the normalized optimum (0 without edges)."""
+    so on the normalized optimum (0 without edges).
+
+    What the Cholesky proves is the computed matrix (its lower triangle),
+    whose entries carry the rounding of the degrees, the square roots and
+    the products; the plain bound's matrix holds the weights exactly.
+    """
     norm = _normalized_matrix(inst)
     if norm is None:
         return 0.0

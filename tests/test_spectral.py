@@ -148,6 +148,14 @@ class TestEigenMax:
             eigen_max((b + b.T) / 2.0, tol=0.0)
         assert exc.value.best_residual > 0
 
+    def test_nonconvergence_on_the_krylov_path(self):
+        # a zero tolerance is never met: the Lanczos run stops at its step
+        # limit and the dense path raises with its residual
+        m = random_instance(400, seed=5, density=0.05).to_dense()
+        with pytest.raises(ConvergenceError) as exc:
+            eigen_max(m, tol=0.0)
+        assert exc.value.best_residual > 0
+
     def test_certified_shift_brackets_lambda_min(self):
         # the psd completion's shift, the certified top eigenvalue of -A, is
         # at least -lambda_min and proves A + shift I positive definite
