@@ -105,9 +105,9 @@ def _krylov_top(a: np.ndarray, start: np.ndarray, tol: float):
     (the next off-diagonal times the last component of the tridiagonal
     eigenvector), and with gap the distance from theta to the next Ritz value
     the run stops once that residual is at most tol min(1, gap): then y's
-    angle to the top eigenvector, about
-    residual / gap, is at most tol, and theta's error, about residual^2 / gap,
-    at most tol^2.  A residual that reaches 0 ends the run too.
+    angle to the top eigenvector, about residual / gap, is at most tol, and
+    theta's error, about residual^2 / gap, at most tol^2.  A residual that
+    reaches 0 ends the run too.
 
     Returns (theta, y, k) with y of unit norm and y . start > 0, or None when
     n // 3 steps pass without convergence: near there the loop costs as much
@@ -212,9 +212,9 @@ def _certify(a: np.ndarray, lam: float) -> float | None:
     where the computed sums are nonnegative, so their rounding only lowers
     them, by a factor (1 - g)^2 at most; that and the few roundings in
     forming s are covered by a factor (1 + 8g) on s, and the final addition
-    is rounded up by one ulp.  (Underflow, which
-    would need entries near 2^-1022, is not accounted for.)  The lower
-    triangle of a is what is proved: numpy.linalg.cholesky reads only it.
+    is rounded up by one ulp.  (Underflow, which would need entries near
+    2^-1022, is not accounted for.)  The lower triangle of a is what is
+    proved: numpy.linalg.cholesky reads only it.
 
     The slack s measured 1.2 to 2.1 times c on the benchmark's matrices, so
     the bound sits 2c to 3c above lam, and c is also the room the first shift
@@ -285,8 +285,9 @@ def eigen_max(matrix, tol: float = 1e-10, seed: int = 0) -> EigenResult:
     factorization of (lambda + r + c) I - A succeeds (c as in _certify),
     which proves no eigenvalue lies above lambda + r + c, so a Krylov run
     that converged to a lower eigenpair is never returned; iterations is the
-    number of Lanczos steps.  Otherwise, and below _KRYLOV_MIN_N rows, one
-    eigvalsh gives the top eigenvalue; when it is simple the vector is the
+    number of Lanczos steps.  Otherwise (a refused Cholesky, or a run that
+    reaches its step limit, as near-repeated top eigenvalues make it do),
+    and below _KRYLOV_MIN_N rows, one eigvalsh gives the top eigenvalue; when it is simple the vector is the
     solution of (lambda I - A) v = start, normalized and signed so that
     v . start > 0 (one step of inverse iteration at the computed eigenvalue),
     and a repeated top eigenvalue, a singular solve or a solve that misses
