@@ -13,10 +13,10 @@ from .core import (
     RatioValue,
     ValidationError,
     degrees,
-    eval_normalized_fractional,
     eval_normalized_qp_ratio,
     eval_qp_intermediate,
     eval_qp_ratio,
+    eval_weighted,
     instance_from_bytes,
     instance_to_bytes,
     load_instance,
@@ -61,11 +61,11 @@ from .spectral import (
     eig_relaxation_value,
     eigen_max,
     normalized_eig,
-    normalized_eig_value,
     psd_polylog_round,
     solve_high_opt,
     top_eigenvalue_bound,
     trevisan_round,
+    weighted_eig_value,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -199,7 +199,7 @@ def _bound_for(inst: core.QpRatioInstance, cap: int, normalized: bool) -> tuple[
         oracle = exact.brute_force_normalized if normalized else exact.brute_force_qp_ratio
         return oracle(inst, cap=cap)[1].value, "oracle"
     if normalized:
-        return spectral.normalized_eig_value(inst), "eig"
+        return spectral.weighted_eig_value(inst, core.degrees(inst)), "eig"
     return spectral.eig_relaxation_value(inst), "eig"
 
 
@@ -243,6 +243,8 @@ def cmd_solve(args) -> int:
 def cmd_exact(args) -> int:
     inst = core.load_instance(args.instance)
     if isinstance(inst, core.QpIntermediateInstance):
+        if args.normalized:
+            raise ValidationError("--normalized applies to a qp_ratio instance, not an intermediate one")
         x, val = exact.grid_search_intermediate(inst, eps=args.grid_eps, cap=args.cap)
     else:
         oracle = exact.brute_force_normalized if args.normalized else exact.brute_force_qp_ratio
@@ -258,7 +260,7 @@ def cmd_relax(args) -> int:
         print(f"eig bound {spectral.eig_relaxation_value(inst):.12g}")
         return 0
     if args.method == "normalized-eig":
-        print(f"normalized eig bound {spectral.normalized_eig_value(inst):.12g}")
+        print(f"normalized eig bound {spectral.weighted_eig_value(inst, core.degrees(inst)):.12g}")
         return 0
     sol = sdp.sdp_solve(inst, rank=args.rank, seed=args.seed, restarts=args.restarts)
     print(f"sdp primal value {sol.objective:.12g}")

@@ -1,11 +1,11 @@
 """Instance and assignment data model, objective evaluation, serialization.
 
-Three objectives share one numerator convention: the quadratic form is the
+Every objective shares one numerator convention: the quadratic form is the
 full symmetric sum over ordered pairs, so a stored entry (i, j, w) with i < j
 contributes 2*w*x_i*x_j.  The ratio denominators are
 
-  * plain ratio:       sum_i x_i^2   (the number of nonzero variables),
-  * normalized ratio:  sum_i d_i x_i^2  with degrees d_i = sum_j |a_ij|,
+  * weighted ratio:    sum_i w_i x_i^2 (eval_weighted), w = 1 for the plain
+    ratio and the degrees d_i = sum_j |a_ij| for the normalized one,
   * intermediate form: sum_i |x_i|   over fractional x in [-1, 1]^n.
 
 All types are immutable after construction and all evaluators are pure.
@@ -448,6 +448,14 @@ def degrees(inst: QpRatioInstance) -> np.ndarray:
     return inst._degrees
 
 
+def _weight_vector(n: int, weights) -> np.ndarray:
+    """weights as a float64 array, refused unless they are n finite nonnegative numbers."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (n,) or not np.all(np.isfinite(w) & (w >= 0)):
+        raise ValidationError(f"weights must be {n} finite nonnegative numbers")
+    return w
+
+
 def _quad_sum(inst, x: np.ndarray) -> float:
     """Full symmetric sum sum_{i != j} a_ij x_i x_j (each pair counted twice)."""
     ii, jj, ww = inst.arrays
@@ -463,30 +471,25 @@ def vector_objective(inst: QpRatioInstance, w: np.ndarray) -> float:
     return float(2.0 * np.sum(ww * inner))
 
 
+def eval_weighted(inst: QpRatioInstance, x, weights) -> RatioValue:
+    """x^T A x / sum_i weights_i x_i^2 for a finite real vector x or an
+    assignment's values (ones: the plain ratio; degrees: the normalized one)."""
+    xv = np.asarray(x.values if isinstance(x, (Assignment, FractionalAssignment)) else x, dtype=np.float64).ravel()
+    if xv.size != inst.n:
+        raise DimensionMismatch(f"vector has length {xv.size}, instance has n={inst.n}")
+    if not np.all(np.isfinite(xv)):
+        raise ValidationError("vector has a non-finite entry")
+    return RatioValue.of(_quad_sum(inst, xv), float(np.dot(_weight_vector(inst.n, weights), xv * xv)))
+
+
 def eval_qp_ratio(inst: QpRatioInstance, a) -> RatioValue:
     """Quadratic form over the count of nonzero variables."""
-    a = Assignment.coerce(a, inst.n)
-    x = a.to_array()
-    return RatioValue.of(_quad_sum(inst, x), float(a.support))
+    return eval_weighted(inst, Assignment.coerce(a, inst.n), np.ones(inst.n))
 
 
 def eval_normalized_qp_ratio(inst: QpRatioInstance, a) -> RatioValue:
     """Quadratic form over the degree-weighted support sum_i d_i x_i^2."""
-    a = Assignment.coerce(a, inst.n)
-    x = a.to_array()
-    den = float(np.dot(degrees(inst), x * x))
-    return RatioValue.of(_quad_sum(inst, x), den)
-
-
-def eval_normalized_fractional(inst: QpRatioInstance, x) -> RatioValue:
-    """Degree-normalized Rayleigh quotient for a real vector (relaxation witnesses)."""
-    xv = np.asarray(
-        x.to_array() if isinstance(x, FractionalAssignment) else x, dtype=np.float64
-    ).ravel()
-    if xv.size != inst.n:
-        raise DimensionMismatch(f"vector has length {xv.size}, instance has n={inst.n}")
-    den = float(np.dot(degrees(inst), xv * xv))
-    return RatioValue.of(_quad_sum(inst, xv), den)
+    return eval_weighted(inst, Assignment.coerce(a, inst.n), degrees(inst))
 
 
 def eval_qp_intermediate(inst: QpIntermediateInstance, x) -> RatioValue:

@@ -33,7 +33,7 @@ from qpratio.generators import (
     level_graph_witness_vector,
     random_instance,
 )
-from qpratio.core import eval_normalized_fractional
+from qpratio.core import degrees, eval_weighted
 from qpratio.hardness import (
     PartialLabeling,
     UgInstance,
@@ -150,7 +150,7 @@ def test_criterion_06_gain_ratio_construction():
     for eps in (0.5, 1 / 3):
         p = LevelGraphParams(eps=eps)
         inst = gen_level_graph(p)
-        direct = eval_normalized_fractional(inst, level_graph_witness_vector(p))
+        direct = eval_weighted(inst, level_graph_witness_vector(p), degrees(inst))
         closed = level_graph_witness_value(p)
         assert closed.value == pytest.approx(direct.value, rel=1e-12)
     _report(6, "profile bound holds on 3x10^4 draws; eps=1/4 witness value 0.0945 >= 0.02*eps^2")

@@ -426,8 +426,8 @@ class TestBoundPastCap:
     def test_relax_normalized_eig(self, star_file, capsys):
         assert main(["relax", star_file, "--method", "normalized-eig"]) == 0
         inst = load_instance(star_file)
-        assert capsys.readouterr().out == f"normalized eig bound {spectral.normalized_eig_value(inst):.12g}\n"
-        assert spectral.normalized_eig_value(inst) == pytest.approx(top_normalized_eigenvalue(inst), abs=1e-9)
+        assert capsys.readouterr().out == f"normalized eig bound {spectral.weighted_eig_value(inst, core.degrees(inst)):.12g}\n"
+        assert spectral.weighted_eig_value(inst, core.degrees(inst)) == pytest.approx(top_normalized_eigenvalue(inst), abs=1e-9)
 
 
 EDGE = '{"kind": "qp_ratio", "n": 2, "entries": [[0, 1, 1.0]]}'
@@ -498,6 +498,7 @@ class TestBadInput:
                 "eps must be positive",
             ),
             (["exact", "i.json", "--grid-eps", "nan"], {"i.json": INTERMEDIATE}, "accuracy must be positive"),
+            (["exact", "i.json", "--normalized"], {"i.json": INTERMEDIATE}, "--normalized"),
             (
                 ["bench", "cfg.json"],
                 {"cfg.json": '{"instances": [{"family": "random", "n": 6, "seed": 1.5}]}'},
@@ -598,6 +599,7 @@ class TestBadInput:
             "reduce-kand-alpha-nan",
             "reduce-intermediate-eps-nan",
             "exact-grid-eps-nan",
+            "exact-normalized-intermediate",
             "bench-item-seed-fractional",
             "bench-item-seed-bool",
             "bench-seed-fractional",

@@ -15,10 +15,10 @@ from qpratio.core import (
     RatioValue,
     ValidationError,
     degrees,
-    eval_normalized_fractional,
     eval_normalized_qp_ratio,
     eval_qp_intermediate,
     eval_qp_ratio,
+    eval_weighted,
     instance_from_bytes,
     instance_to_bytes,
     restrict,
@@ -140,6 +140,31 @@ class TestEvalNormalized:
         inst = QpRatioInstance(4, ((0, 1, 1.0), (2, 3, -1.0)))
         for a in [(1, 1, 0, 0), (1, 1, 1, -1), (0, 1, 1, 1)]:
             assert eval_normalized_qp_ratio(inst, a).value == eval_qp_ratio(inst, a).value
+
+
+class TestEvalWeighted:
+    def test_unit_and_degree_weights_are_the_two_evaluators(self):
+        inst = random_instance(9, seed=4)
+        rng = rng_for(12)
+        for _ in range(20):
+            a = Assignment(tuple(rng.integers(-1, 2, 9).tolist()))
+            assert eval_weighted(inst, a, np.ones(9)) == eval_qp_ratio(inst, a)
+            assert eval_weighted(inst, a, degrees(inst)) == eval_normalized_qp_ratio(inst, a)
+
+    def test_real_vector_and_weights(self):
+        inst = single_edge(2.0)
+        val = eval_weighted(inst, [0.5, -1.0], [4.0, 1.0])
+        assert (val.numerator, val.denominator) == (-2.0, 2.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_refused(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            eval_weighted(gen_star(3), [bad, 1.0, 0.0, 0.0], degrees(gen_star(3)))
+
+    @pytest.mark.parametrize("weights", [[1.0, -1.0], [1.0, np.nan], [1.0, np.inf], [1.0], [1.0, 1.0, 1.0]])
+    def test_bad_weights_refused(self, weights):
+        with pytest.raises(ValidationError, match="weights"):
+            eval_weighted(single_edge(1.0), [1.0, 1.0], weights)
 
 
 class TestEvalIntermediate:
@@ -367,7 +392,7 @@ class TestProperties:
     def test_fractional_evaluator_matches_integer(self):
         inst = random_instance(5, seed=1)
         a = Assignment((1, -1, 0, 1, -1))
-        assert eval_normalized_fractional(inst, a.to_array()).value == pytest.approx(
+        assert eval_weighted(inst, a.to_array(), degrees(inst)).value == pytest.approx(
             eval_normalized_qp_ratio(inst, a).value
         )
 

@@ -9,8 +9,9 @@ from qpratio.core import (
     EntryArrays,
     QpRatioInstance,
     ValidationError,
-    eval_normalized_fractional,
+    degrees,
     eval_qp_ratio,
+    eval_weighted,
     instance_to_bytes,
 )
 from qpratio.exact import BudgetExceeded, brute_force_qp_ratio
@@ -228,7 +229,7 @@ class TestLevelGraph:
             params = LevelGraphParams(eps=eps)
             inst = gen_level_graph(params)
             x = level_graph_witness_vector(params)
-            direct = eval_normalized_fractional(inst, x)
+            direct = eval_weighted(inst, x, degrees(inst))
             closed = level_graph_witness_value(params)
             assert closed.numerator == pytest.approx(direct.numerator, rel=1e-12)
             assert closed.denominator == pytest.approx(direct.denominator, rel=1e-12)

@@ -8,8 +8,10 @@ from qpratio.core import (
     Assignment,
     QpRatioInstance,
     ValidationError,
+    degrees,
     eval_normalized_qp_ratio,
     eval_qp_ratio,
+    eval_weighted,
     trivial_solution,
 )
 from qpratio.exact import brute_force_qp_ratio
@@ -26,11 +28,11 @@ from qpratio.spectral import (
     eig_relaxation_value,
     eigen_max,
     normalized_eig,
-    normalized_eig_value,
     psd_polylog_round,
     solve_high_opt,
     top_eigenvalue_bound,
     trevisan_round,
+    weighted_eig_value,
 )
 from qpratio.rounding import solve_general
 from qpratio.util import rng_for
@@ -254,32 +256,31 @@ class TestRelaxationValues:
             assert brute_force_qp_ratio(inst)[1].value <= eig_relaxation_value(inst) + 1e-9
 
     def test_normalized_single_negative_edge(self):
-        assert normalized_eig_value(QpRatioInstance(2, ((0, 1, -1.0),))) == pytest.approx(1.0)
+        inst = QpRatioInstance(2, ((0, 1, -1.0),))
+        assert weighted_eig_value(inst, degrees(inst)) == pytest.approx(1.0)
 
     def test_normalized_star(self):
-        assert normalized_eig_value(gen_star(5)) == pytest.approx(1.0, abs=1e-9)
+        inst = gen_star(5)
+        assert weighted_eig_value(inst, degrees(inst)) == pytest.approx(1.0, abs=1e-9)
 
     def test_normalized_empty(self):
-        assert normalized_eig_value(QpRatioInstance(3, ())) == 0.0
+        inst = QpRatioInstance(3, ())
+        assert weighted_eig_value(inst, degrees(inst)) == 0.0
 
     def test_normalized_dominates_level_witness(self):
         params = LevelGraphParams(eps=0.5)
         inst = gen_level_graph(params)
         x = level_graph_witness_vector(params)
-        from qpratio.core import eval_normalized_fractional
-
-        witness = eval_normalized_fractional(inst, x).value
-        assert normalized_eig_value(inst) >= witness - 1e-9
+        witness = eval_weighted(inst, x, degrees(inst)).value
+        assert weighted_eig_value(inst, degrees(inst)) >= witness - 1e-9
 
     def test_normalized_witness_attains_the_value(self):
         # the returned vector is the Rayleigh maximizer of the degree-weighted
         # quotient, so re-evaluating it reproduces the eigenvalue
-        from qpratio.core import eval_normalized_fractional
-
         for seed in (3, 4):
             inst = random_instance(9, seed=seed)
             val, x = normalized_eig(inst, seed=seed)
-            assert eval_normalized_fractional(inst, x).value == pytest.approx(val, abs=1e-8)
+            assert eval_weighted(inst, x, degrees(inst)).value == pytest.approx(val, abs=1e-8)
 
     def test_values_bracket_eigvalsh(self):
         # each bound is at or above eigvalsh's top eigenvalue, by at most
@@ -291,8 +292,8 @@ class TestRelaxationValues:
             want = float(np.linalg.eigvalsh(inst.to_dense())[-1])
             assert 0.0 <= eig_relaxation_value(inst) - want <= 1e-11 * abs(want)
             want = float(np.linalg.eigvalsh(normalized_matrix(inst))[-1])
-            assert 0.0 <= normalized_eig_value(inst) - want <= 1e-11 * abs(want)
-            assert normalized_eig(inst)[0] <= normalized_eig_value(inst)
+            assert 0.0 <= weighted_eig_value(inst, degrees(inst)) - want <= 1e-11 * abs(want)
+            assert normalized_eig(inst)[0] <= weighted_eig_value(inst, degrees(inst))
 
     def test_deterministic_given_seed(self):
         inst = random_instance(12, seed=55)
@@ -328,7 +329,7 @@ class TestCertifiedBounds:
 
         for inst in tight_instances(3000, seed=21):
             assert eig_relaxation_value(inst) >= brute_force_qp_ratio(inst)[1].value
-            assert normalized_eig_value(inst) >= brute_force_normalized(inst)[1].value
+            assert weighted_eig_value(inst, degrees(inst)) >= brute_force_normalized(inst)[1].value
 
     def test_triangle_value_within_bound(self):
         # eigvalsh gives 1.9999999999999996 here, below the attained 2.0
@@ -343,7 +344,7 @@ class TestCertifiedBounds:
         for inst in insts:
             for bound, m in (
                 (eig_relaxation_value(inst), inst.to_dense()),
-                (normalized_eig_value(inst), normalized_matrix(inst)),
+                (weighted_eig_value(inst, degrees(inst)), normalized_matrix(inst)),
             ):
                 want = float(np.linalg.eigvalsh(m)[-1])
                 assert 0.0 <= bound - want <= 1e-11 * abs(want)
@@ -379,6 +380,61 @@ class TestCertifiedBounds:
         assert np.max(np.abs(res.vector - reference_projection(m, seed=1))) <= 1e-9
 
 
+class TestWeightedBound:
+    """weighted_eig_value bounds x^T A x / sum_i w_i x_i^2 for any weights."""
+
+    def test_never_below_the_weighted_oracle(self):
+        from qpratio.exact import _brute_force
+
+        rng = rng_for(22)
+        for n in range(6, 11):
+            for seed in range(6):
+                inst = random_instance(n, seed=seed, density=0.5)
+                w = rng.uniform(0.05, 4.0, n)
+                assert weighted_eig_value(inst, w) >= _brute_force(inst, 12, w)[1].value
+
+    def test_no_entries_is_zero(self):
+        for w in (np.ones(4), np.zeros(4), np.array([0.0, 2.0, 0.0, 1.0])):
+            assert weighted_eig_value(QpRatioInstance(4, ()), w) == 0.0
+        # an entry of weight 0 may touch a zero weight
+        assert weighted_eig_value(QpRatioInstance(3, ((0, 1, 0.0),)), np.array([0.0, 1.0, 1.0])) < 1e-12
+
+    def test_zero_weight_on_a_nonzero_entry_is_unbounded(self):
+        inst = QpRatioInstance(3, ((0, 1, 1.0), (1, 2, -0.5)))
+        assert weighted_eig_value(inst, np.array([1.0, 1.0, 0.0])) == math.inf
+        assert weighted_eig_value(inst, np.array([0.0, 1.0, 1.0])) == math.inf
+        # a zero-weight vertex without entries is dropped
+        inst = QpRatioInstance(3, ((0, 1, 1.0),))
+        assert weighted_eig_value(inst, np.array([1.0, 1.0, 0.0])) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[1.0, -1.0, 1.0], [1.0, np.nan, 1.0], [1.0, np.inf, 1.0], [1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [[1.0, 1.0, 1.0]]],
+    )
+    def test_bad_weights_refused(self, weights):
+        with pytest.raises(ValidationError, match="weights"):
+            weighted_eig_value(QpRatioInstance(3, ((0, 1, 1.0),)), weights)
+
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_kand_base_instance_matches_the_replicated_one(self, w):
+        # the n + m base instance with left weight w has the bound of the
+        # w n + m replicated instance kand_to_qpratio builds
+        from qpratio.core import EntryArrays
+        from qpratio.exact import brute_force_weighted_bipartite
+        from qpratio.hardness import gen_kand, kand_matrix, kand_to_qpratio
+
+        for n, m, k, seed in ((4, 7, 2, 1), (5, 6, 3, 2), (20, 60, 3, 3), (40, 100, 4, 4), (40, 400, 3, 5)):
+            kinst = gen_kand(n, m, k, seed)
+            base = kand_matrix(kinst).T
+            li, rj = np.nonzero(base)
+            inst = QpRatioInstance(n + m, EntryArrays(li, n + rj, base[li, rj]))
+            weights = np.repeat([float(w), 1.0], [n, m])
+            bound = weighted_eig_value(inst, weights)
+            assert bound == pytest.approx(eig_relaxation_value(kand_to_qpratio(kinst, 1.0 / w)[0]), rel=1e-9)
+            if n + m <= 12:
+                assert bound >= brute_force_weighted_bipartite(base, w)
+
+
 class TestTrevisanRound:
     def test_single_negative_edge(self):
         inst = QpRatioInstance(2, ((0, 1, -1.0),))
@@ -394,6 +450,11 @@ class TestTrevisanRound:
     def test_zero_vector_rejected(self):
         with pytest.raises(Exception):
             trevisan_round(QpRatioInstance(2, ((0, 1, 1.0),)), np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            trevisan_round(gen_star(3), np.array([bad, 1.0, 0.0, 0.0]))
 
     def test_scan_exactness(self):
         for seed in range(50):
@@ -413,7 +474,7 @@ class TestTrevisanRound:
         inst = gen_level_graph(params)
         _, v = trevisan_round(inst, level_graph_witness_vector(params))
         assert v.value >= 0.0
-        assert v.value <= normalized_eig_value(inst) + 1e-9
+        assert v.value <= weighted_eig_value(inst, degrees(inst)) + 1e-9
 
 
 class TestTrevisanSweep:
