@@ -492,6 +492,16 @@ def eval_normalized_qp_ratio(inst: QpRatioInstance, a) -> RatioValue:
     return eval_weighted(inst, Assignment.coerce(a, inst.n), degrees(inst))
 
 
+def _keep_better(inst: QpRatioInstance, best, x: np.ndarray, weights):
+    """The better of best, an (Assignment, RatioValue) pair or None, and the
+    {-1, 0, 1} int array x scored by eval_weighted: x wins only when best is
+    None or x's value is strictly higher, and only a winner becomes an Assignment."""
+    val = eval_weighted(inst, x, weights)
+    if best is None or val.value > best[1].value:
+        return Assignment(tuple(x.tolist())), val
+    return best
+
+
 def eval_qp_intermediate(inst: QpIntermediateInstance, x) -> RatioValue:
     """x^T A x (diagonal included) over sum_i |x_i|."""
     x = FractionalAssignment.coerce(x, inst.n)

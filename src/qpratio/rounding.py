@@ -7,7 +7,10 @@ conditional expectations, then Gaussian-projection sign rounding on the
 selected unit vectors.  Grow-or-drop and selection scale whole rows, so both
 keep one factor per row and read each decision off M = A o (W W^T).
 Bipartite instances get a dedicated level-pair routine built on sampled sign
-patterns for the smaller side.
+patterns for the smaller side.  Both score each {-1, 0, 1} candidate as an int
+array under unit weights with core._keep_better, which builds an Assignment
+only for a candidate that beats the best so far (the single-edge baseline
+first); a tie keeps the earlier one.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .core import (
     QpRatioInstance,
     RatioValue,
     ValidationError,
-    eval_qp_ratio,
+    _keep_better,
     trivial_solution,
 )
 from .sdp import sdp_solve
@@ -145,10 +148,7 @@ def round_close_lengths(inst: QpRatioInstance, w: np.ndarray, seed: int = 0) -> 
         u = rng.random(chosen.size)
         vals = np.zeros(n, dtype=np.int64)
         vals[chosen] = np.sign(z).astype(np.int64) * (u < np.abs(z))
-        cand = Assignment(tuple(int(v) for v in vals))
-        val = eval_qp_ratio(inst, cand)
-        if val.value > best[1].value:
-            best = (cand, val)
+        best = _keep_better(inst, best, vals, np.ones(n))
     return best
 
 
@@ -250,10 +250,7 @@ def solve_bipartite(inst: QpRatioInstance, seed: int = 0) -> tuple[Assignment, R
             vals = np.zeros(n, dtype=np.int64)
             vals[left[lsel]] = xs[t]
             vals[right[rsel]] = np.sign(sums[t]).astype(np.int64)
-            cand = Assignment(tuple(int(v) for v in vals))
-            val = eval_qp_ratio(inst, cand)
-            if val.value > best[1].value:
-                best = (cand, val)
+            best = _keep_better(inst, best, vals, np.ones(n))
     return best
 
 

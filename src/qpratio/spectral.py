@@ -21,6 +21,14 @@ Each ratio is x^T A x / sum_i w_i x_i^2 (w = 1 plain, w = the degrees
 normalized); its relaxation value is the top eigenvalue of W^{-1/2} A
 W^{-1/2} over the positive-weight vertices, whose Rayleigh quotient matches
 that ratio under x -> W^{1/2} x.
+
+The roundings (trevisan_round under the degrees, psd_polylog_round and
+solve_high_opt under unit weights) score each {-1, 0, 1} candidate as an int
+array with core._keep_better, which builds an Assignment only for a candidate
+that beats the best so far; a tie keeps the earlier one.  A matrix with a NaN
+or infinite entry, a tol that is not a finite number >= 0, a non-finite
+rounding vector or PSD diagonal, and degrees that overflow float64 are
+refused with ValidationError.
 """
 
 from __future__ import annotations
@@ -35,10 +43,9 @@ from .core import (
     QpRatioInstance,
     RatioValue,
     ValidationError,
+    _keep_better,
     _weight_vector,
     degrees,
-    eval_normalized_qp_ratio,
-    eval_qp_ratio,
     restrict,
     trivial_solution,
 )
@@ -72,20 +79,27 @@ class EigenResult:
 
 def _max_asymmetry(a: np.ndarray) -> float:
     """max |a_ij - a_ji|, read in 128-row blocks of the upper triangle so that
-    the transposed side is read a few cache lines per row, not one element."""
+    the transposed side is read a few cache lines per row, not one element.
+    A NaN or infinite entry makes some difference NaN or inf (a diagonal one
+    against itself), and np.maximum carries a NaN through to the result."""
     worst = 0.0
     for r in range(0, a.shape[0], 128):
         diff = a[r : r + 128, r:] - a[r:, r : r + 128].T
-        worst = max(worst, float(np.max(np.abs(diff))))
+        worst = float(np.maximum(worst, np.max(np.abs(diff))))
     return worst
 
 
 def _symmetric(matrix) -> np.ndarray:
-    """matrix as a float64 array, refused unless square and symmetric to 1e-9."""
+    """matrix as a float64 array, refused unless square, finite and symmetric
+    to 1e-9; the asymmetry pass finds the non-finite entries too."""
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     asym = _max_asymmetry(a)
+    # a finite matrix has an infinite asymmetry only when a difference
+    # overflows, and the symmetry test below refuses that one
+    if not math.isfinite(asym) and not np.all(np.isfinite(a)):
+        raise ValidationError("matrix has a non-finite entry")
     if asym > 1e-9 and asym > 1e-9 * (1.0 + float(np.max(np.abs(a)))):
         raise ValidationError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     return a
@@ -294,8 +308,10 @@ def eigen_max(matrix, tol: float = 1e-10, seed: int = 0) -> EigenResult:
     and a repeated top eigenvalue, a singular solve or a solve that misses
     tol projects onto the eigenvectors of a full eigh instead.  The returned
     residual is ||A v - lambda v||_2; a residual above tol raises with that
-    residual.
+    residual; tol must be a finite number >= 0.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValidationError(f"tol must be a finite number >= 0, got {tol!r}")
     a = _symmetric(matrix)
     n = a.shape[0]
     start = rng_for(seed, 0x51).standard_normal(n)
@@ -384,9 +400,10 @@ def normalized_eig(inst: QpRatioInstance, seed: int = 0) -> tuple[float, np.ndar
     the Rayleigh witness x (weighted_eig_value of the degrees certifies it).
 
     Zero-degree vertices are deleted before normalizing; the witness is padded
-    back with zeros and satisfies x^T A x / x^T D x = lambda.
+    back with zeros and satisfies x^T A x / x^T D x = lambda.  Degrees that
+    overflow float64 are refused, as weighted_eig_value refuses them.
     """
-    norm = _weighted_matrix(inst, degrees(inst))
+    norm = _weighted_matrix(inst, _weight_vector(inst.n, degrees(inst)))
     if norm is None:
         return 0.0, np.zeros(inst.n)
     s, kept, inv_sqrt = norm
@@ -405,16 +422,17 @@ def trevisan_round(inst: QpRatioInstance, x) -> tuple[Assignment, RatioValue]:
     suffix sums of the buckets give every cut's numerator and denominator,
     O(nnz + n log n) in all.  The cuts whose swept value lies within the
     summation-order error of the best are then evaluated exactly with
-    eval_normalized_qp_ratio, in ascending threshold order, and the first
-    with the largest value wins.  So the returned value is exactly the
+    eval_weighted under the degrees, in ascending threshold order, and the
+    first with the largest value wins.  So the returned value is exactly the
     maximum over the threshold cuts, the value an evaluation of every cut
-    would find.
+    would find.  x must be finite and the degrees must not overflow float64.
     """
     xv = np.asarray(x, dtype=np.float64).ravel()
     if xv.size != inst.n:
         raise ValidationError(f"vector has length {xv.size}, instance has n={inst.n}")
     if not np.all(np.isfinite(xv)):
         raise ValidationError("threshold rounding needs a finite vector")
+    d = _weight_vector(inst.n, degrees(inst))
     mags = np.abs(xv)
     live = mags > 0
     thresholds, rank = np.unique(mags[live], return_inverse=True)
@@ -431,7 +449,7 @@ def trevisan_round(inst: QpRatioInstance, x) -> tuple[Assignment, RatioValue]:
         low, terms = low[inside], terms[inside]
     k = thresholds.size
     num = 2.0 * np.bincount(low, terms, minlength=k)
-    den = np.bincount(rank, degrees(inst)[live], minlength=k)
+    den = np.bincount(rank, d[live], minlength=k)
     num = np.cumsum(num[::-1])[::-1]
     den = np.cumsum(den[::-1])[::-1]
     swept = np.divide(num, den, out=np.zeros(k), where=den != 0)
@@ -441,13 +459,9 @@ def trevisan_round(inst: QpRatioInstance, x) -> tuple[Assignment, RatioValue]:
     # |numerator| <= denominator, so a margin of 8 (nnz + n) 2^-53 keeps the
     # exact maximum among the re-scored cuts
     margin = max(1e-12 * abs(top), 8.0 * (ww.size + inst.n) * 2.0**-53)
-    best: tuple[Assignment, RatioValue] | None = None
+    best = None
     for t in thresholds[swept >= top - margin]:
-        y = np.where(mags >= t, signs, 0.0).astype(np.int64)
-        a = Assignment(tuple(y.tolist()))
-        val = eval_normalized_qp_ratio(inst, a)
-        if best is None or val.value > best[1].value:
-            best = (a, val)
+        best = _keep_better(inst, best, np.where(mags >= t, signs, 0.0).astype(np.int64), d)
     return best
 
 
@@ -469,7 +483,8 @@ def psd_polylog_round(
     the single-edge baseline.  A completed form with an eigenvalue below
     -1e-8 (1 + max |entry|) is refused: a Cholesky factorization of the form
     plus that margin tests it, and only a refusal computes the eigenvalue.
-    Nothing here is random; seed is accepted for callers that pass one.
+    A non-finite x or diag is refused too.  Nothing here is random; seed is
+    accepted for callers that pass one.
     """
     n = inst.n
     xv = np.asarray(x, dtype=np.float64).ravel()
@@ -478,6 +493,8 @@ def psd_polylog_round(
     dvec = np.zeros(n) if diag is None else np.asarray(diag, dtype=np.float64).ravel()
     if dvec.size != n:
         raise ValidationError(f"diagonal has length {dvec.size}, instance has n={n}")
+    if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(dvec))):
+        raise ValidationError("PSD rounding needs a finite vector and diagonal")
     a_full = inst.to_dense() + np.diag(dvec)
     scale = 1.0 + float(np.max(np.abs(a_full)))
     try:
@@ -532,10 +549,7 @@ def psd_polylog_round(
         slack = 1e-9 * max(1.0, hi * hi * float(np.sum(np.abs(a_full[np.ix_(idx, idx)]))))
         if abs(exact - form) > slack:
             raise AssertionError(f"tracked completed form {form} differs from the recomputed {exact}")
-        a = Assignment(tuple(int(v) for v in np.sign(y)))
-        val = eval_qp_ratio(inst, a)
-        if val.value > best[1].value:
-            best = (a, val)
+        best = _keep_better(inst, best, np.sign(y).astype(np.int64), np.ones(n))
     return best
 
 
@@ -545,11 +559,12 @@ def solve_high_opt(inst: QpRatioInstance, eps: float, seed: int = 0) -> tuple[As
     Drops vertices with d_i < (eps/2) d_max, rounds the normalized eigenvector
     of the filtered instance, and returns the better of the mapped-back
     assignment and the single-edge baseline, measured by the plain ratio.
+    Degrees that overflow float64 are refused.
     """
     if not 0 < eps <= 1:
         raise ValidationError(f"eps must lie in (0,1], got {eps}")
+    d = _weight_vector(inst.n, degrees(inst))
     best = trivial_solution(inst)
-    d = degrees(inst)
     dmax = float(np.max(d)) if d.size else 0.0
     if dmax <= 0:
         return best
@@ -565,8 +580,4 @@ def solve_high_opt(inst: QpRatioInstance, eps: float, seed: int = 0) -> tuple[As
     ysub, _ = trevisan_round(sub, xsub)
     vals = np.zeros(inst.n, dtype=np.int64)
     vals[kept] = ysub.values
-    a = Assignment(tuple(vals.tolist()))
-    val = eval_qp_ratio(inst, a)
-    if val.value > best[1].value:
-        best = (a, val)
-    return best
+    return _keep_better(inst, best, vals, np.ones(inst.n))

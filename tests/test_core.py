@@ -14,6 +14,7 @@ from qpratio.core import (
     QpRatioInstance,
     RatioValue,
     ValidationError,
+    _keep_better,
     degrees,
     eval_normalized_qp_ratio,
     eval_qp_intermediate,
@@ -165,6 +166,39 @@ class TestEvalWeighted:
     def test_bad_weights_refused(self, weights):
         with pytest.raises(ValidationError, match="weights"):
             eval_weighted(single_edge(1.0), [1.0, 1.0], weights)
+
+
+class TestKeepBetter:
+    def test_none_takes_the_first_candidate(self):
+        inst = single_edge(-1.0)
+        a, val = _keep_better(inst, None, np.array([1, 1]), np.ones(2))
+        assert a == Assignment((1, 1))
+        assert val.value == -1.0
+
+    def test_a_tie_keeps_the_incumbent(self):
+        inst = single_edge(1.0)
+        best = (Assignment((1, 1)), eval_qp_ratio(inst, (1, 1)))
+        got = _keep_better(inst, best, np.array([-1, -1]), np.ones(2))
+        assert got is best
+        lower = _keep_better(inst, best, np.array([1, -1]), np.ones(2))
+        assert lower is best
+
+    def test_winner_is_x_with_its_weighted_value(self):
+        inst = random_instance(9, seed=4)
+        rng = rng_for(13)
+        floor = (Assignment((0,) * 9), RatioValue.of(0.0, 0.0))
+        wins = 0
+        for weights in (np.ones(9), degrees(inst)):
+            for _ in range(30):
+                x = rng.integers(-1, 2, 9)
+                a, val = _keep_better(inst, floor, x, weights)
+                if a is floor[0]:
+                    assert val.value <= 0.0
+                    continue
+                wins += 1
+                assert a.values == tuple(x.tolist())
+                assert val == eval_weighted(inst, a, weights) == eval_weighted(inst, x, weights)
+        assert wins > 0
 
 
 class TestEvalIntermediate:

@@ -112,6 +112,11 @@ def normalized_matrix(inst):
     return inst.to_dense()[np.ix_(keep, keep)] * s[:, None] * s[None, :]
 
 
+def overflowing_degrees():
+    # degrees [inf, 1e308, 1e308]: vertex 0's sum overflows float64
+    return QpRatioInstance(3, ((0, 1, 1e308), (0, 2, 1e308)))
+
+
 class TestEigenMax:
     def test_two_by_two(self):
         res = eigen_max(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -142,6 +147,27 @@ class TestEigenMax:
     def test_asymmetric_rejected(self):
         with pytest.raises(Exception):
             eigen_max(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_bad_tol_refused(self, tol):
+        with pytest.raises(ValidationError, match="tol"):
+            eigen_max(np.array([[0.0, 1.0], [1.0, 0.0]]), tol=tol)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_matrix_refused(self, bad):
+        small = np.array([[0.0, bad], [bad, 0.0]])
+        # a NaN past the first 128-row block must survive the blocked max
+        large = np.zeros((300, 300))
+        large[250, 260] = large[260, 250] = bad
+        diagonal = np.diag([bad, 1.0])
+        for m in (small, large, diagonal):
+            for fn in (top_eigenvalue_bound, eigen_max):
+                with pytest.raises(ValidationError, match="non-finite"):
+                    fn(m)
+
+    def test_overflowing_asymmetry_is_asymmetry(self):
+        with pytest.raises(ValidationError, match="not symmetric"):
+            eigen_max(np.array([[0.0, 1e308], [-1e308, 0.0]]))
 
     def test_nonconvergence_carries_residual(self):
         # no floating-point eigenvector has a zero residual on a dense matrix
@@ -281,6 +307,14 @@ class TestRelaxationValues:
             inst = random_instance(9, seed=seed)
             val, x = normalized_eig(inst, seed=seed)
             assert eval_weighted(inst, x, degrees(inst)).value == pytest.approx(val, abs=1e-8)
+
+    def test_normalized_eig_refuses_overflowing_degrees(self):
+        # refused as the normalized bound refuses them
+        inst = overflowing_degrees()
+        with pytest.raises(ValidationError, match="weights"):
+            weighted_eig_value(inst, degrees(inst))
+        with pytest.raises(ValidationError, match="weights"):
+            normalized_eig(inst)
 
     def test_values_bracket_eigvalsh(self):
         # each bound is at or above eigvalsh's top eigenvalue, by at most
@@ -456,6 +490,10 @@ class TestTrevisanRound:
         with pytest.raises(ValidationError, match="finite"):
             trevisan_round(gen_star(3), np.array([bad, 1.0, 0.0, 0.0]))
 
+    def test_overflowing_degrees_refused(self):
+        with pytest.raises(ValidationError, match="weights"):
+            trevisan_round(overflowing_degrees(), np.ones(3))
+
     def test_scan_exactness(self):
         for seed in range(50):
             inst = random_instance(8, seed=seed + 100)
@@ -573,6 +611,16 @@ class TestPsdRound:
         with pytest.raises(ValidationError, match=r"min eigenvalue -1\.000e\+00"):
             psd_polylog_round(inst, np.ones(2))
 
+    @pytest.mark.parametrize("x, diag", [
+        ([math.nan, 1.0, 0.0, 0.0], [2.0] * 4),
+        ([math.inf, 1.0, 0.0, 0.0], [2.0] * 4),
+        ([1.0, 1.0, 0.0, 0.0], [math.nan, 2.0, 2.0, 2.0]),
+        ([1.0, 1.0, 0.0, 0.0], [math.inf, 2.0, 2.0, 2.0]),
+    ])
+    def test_non_finite_input_refused(self, x, diag):
+        with pytest.raises(ValidationError, match="finite"):
+            psd_polylog_round(gen_star(3), x, diag=diag)
+
     def test_matches_the_recomputing_push(self):
         insts = [random_instance(n, seed=n, density=0.3) for n in (12, 60, 150)]
         insts += [gen_level_graph(LevelGraphParams(eps=0.5)), gen_bipartite_gap(64, seed=3), gen_star(20)]
@@ -611,6 +659,10 @@ class TestHighOpt:
 
             _, v = solve_high_opt(inst, eps=0.25, seed=seed)
             assert v.value >= trivial_solution(inst)[1].value - 1e-12
+
+    def test_overflowing_degrees_refused(self):
+        with pytest.raises(ValidationError, match="weights"):
+            solve_high_opt(overflowing_degrees(), 0.5)
 
     def test_bad_eps_rejected(self):
         with pytest.raises(Exception):
