@@ -387,8 +387,6 @@ def _render_svg(rows: list[dict]) -> str:
     y0, y1 = min(0.0, min(ys)), max(1.0, max(ys))
     if x1 == x0:
         x1 = x0 + 1
-    if y1 == y0:
-        y1 = y0 + 1
 
     def sx(x):
         return pad + (x - x0) / (x1 - x0) * (width - 2 * pad)
@@ -424,14 +422,15 @@ def cmd_bench(args) -> int:
     if not (isinstance(algos, list) and all(isinstance(x, str) for x in algos)):
         raise ParseError(f"{args.config}: 'algos' must be a list of algorithm names")
     cap, seed = cfg.get("cap", 12), cfg.get("seed", 0)
-    if not (_is_int(cap) and _is_int(seed)):
-        raise ParseError(f"{args.config}: 'cap' and 'seed' must be integers")
+    if not (_is_int(cap) and _is_int(seed) and seed >= 0):
+        raise ParseError(f"{args.config}: 'cap' must be an integer and 'seed' a non-negative integer")
     instances = core._require(cfg, "instances", list, args.config)
     for k, item in enumerate(instances):
         if not isinstance(item, dict):
             raise ParseError(f"{args.config}: instances item {k} must be a JSON object")
-        if not _is_int(item.get("seed", seed)):
-            raise ParseError(f"{args.config}: instances item {k} 'seed' must be an integer")
+        item_seed = item.get("seed", seed)
+        if not (_is_int(item_seed) and item_seed >= 0):
+            raise ParseError(f"{args.config}: instances item {k} 'seed' must be a non-negative integer")
     out_csv = cfg.get("out_csv", "bench.csv")
     out_svg = cfg.get("out_svg")
     if not isinstance(out_csv, str) or not (out_svg is None or isinstance(out_svg, str)):

@@ -366,8 +366,10 @@ class _SymmetricInstance:
     def _degrees(self) -> np.ndarray:
         ii, jj, ww = self.arrays
         d = np.zeros(self.n, dtype=np.float64)
-        np.add.at(d, ii, np.abs(ww))
-        np.add.at(d, jj, np.abs(ww))
+        # a degree past float64 becomes inf, which _weight_vector refuses
+        with np.errstate(over="ignore"):
+            np.add.at(d, ii, np.abs(ww))
+            np.add.at(d, jj, np.abs(ww))
         d.setflags(write=False)
         return d
 

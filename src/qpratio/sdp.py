@@ -5,11 +5,13 @@ and |<w_i, w_j>| <= w_i^2 for all pairs, which pushes nonzero vectors toward
 equal lengths.  The solver is a low-rank factorization ascent with soft pair
 penalties that advances all restarts as one stacked iterate; for s >= 0 the
 penalty gradient uses sign(g) max(0, |g| - s) = g - clip(g, -s, s).  The
+ascent reads A / max(1, max|a_ij|), which has the same maximizers, and its
 penalty climbs a ladder of 8 short phases (40 heavy-ball steps each,
-weight 0.25 * 4^k * max(1, max|a_ij|)), so it ends high enough that
-repairing the last phases to exact feasibility costs little objective.
-The gradient kernel runs in float32 under a float64 iterate; the repair,
-`GramSolution` and every objective and residual it reports are float64.
+weight 0.25 * 4^k), so it ends high enough that repairing the last phases
+to exact feasibility costs little objective.  The gradient kernel runs in
+float32 under a float64 iterate, and the scaling keeps it finite at any
+weight; the repair, `GramSolution` and every objective and residual it
+reports are float64 and read the unscaled A.
 Every integer assignment embeds exactly feasibly, so the returned
 objective is never below the best warm start.  No optimality certificate
 is produced or needed downstream.
@@ -49,12 +51,17 @@ class GramSolution:
         objective = float(2.0 * np.sum(ww * gram[ii, jj]))
         sq = np.einsum("id,id->i", w, w)
         norm1 = abs(float(np.sum(sq)) - 1.0)
-        g = np.abs(gram, out=gram)
-        bound = np.minimum.outer(sq, sq)
-        viol = g - bound
-        np.fill_diagonal(viol, 0.0)
-        pair = float(max(0.0, np.max(viol))) if inst.n > 1 else 0.0
+        # max over pairs of |G_ij| - min(G_ii, G_jj), bit for bit: G is exactly
+        # symmetric and fl(x - c) is monotone in x and in c
+        pair = float(max(0.0, np.max(_row_reach(gram) - sq)))
         return cls(w, objective, norm1, pair)
+
+
+def _row_reach(g: np.ndarray) -> np.ndarray:
+    """max_{j != i} |g_ij| for each row i of a square array (0 for one row)."""
+    g = np.abs(g)
+    np.fill_diagonal(g, 0.0)
+    return g.max(axis=1)
 
 
 def embed_assignment(inst: QpRatioInstance, a, dim: int = 2) -> GramSolution:
@@ -75,25 +82,25 @@ def embed_assignment(inst: QpRatioInstance, a, dim: int = 2) -> GramSolution:
 
 
 def sdp_feasibility(sol: GramSolution, tol: float = 1e-6) -> tuple[bool, dict]:
+    """Whether both residuals are at most tol, a finite number >= 0, and the report."""
+    if not 0.0 <= tol < math.inf:
+        raise ValidationError(f"tol must be a finite number >= 0, got {tol!r}")
     report = {"residual_norm1": sol.residual_norm1, "residual_pair": sol.residual_pair}
     return (sol.residual_norm1 <= tol and sol.residual_pair <= tol), report
 
 
-def _repair(a: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray] | None:
+def _repair(a: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
     """Exact feasibility map: orthogonal tails lift each diagonal to its row max.
 
     Raising G_ii to max_j |G_ij| (tails touch no off-diagonal inner product)
     satisfies every pair constraint, and the uniform renormalization to total
-    squared length 1 preserves them.  Returns (objective, vectors).
+    squared length 1 preserves them.  Returns (objective, vectors); the total
+    it divides by is at least ||w||_F^2, which the ascent keeps at 1.
     """
     g = w @ w.T
     sq = np.diag(g).copy()
-    absg = np.abs(g)
-    np.fill_diagonal(absg, 0.0)
-    need = np.maximum(absg.max(axis=1), sq) if w.shape[0] > 1 else sq
+    need = np.maximum(_row_reach(g), sq)
     total = float(np.sum(need))
-    if total <= 0:
-        return None
     tails = np.sqrt(np.maximum(need - sq, 0.0))
     w2 = np.concatenate([w, np.diag(tails)], axis=1) / math.sqrt(total)
     return float(np.sum(a * g)) / total, w2
@@ -130,8 +137,8 @@ def _ascend_stack(a: np.ndarray, w0: np.ndarray, iters: int) -> list[np.ndarray 
     pair-constraint penalty.
 
     `w0` is an (R, n, d) stack of unit-norm starting points; all R restarts
-    advance together through 8 phases of `iters` steps, the penalty weight
-    rising from 0.25 to 4096 times max(1, max|a_ij|), by 4x per phase.
+    advance together through 8 phases of `iters` steps on A / max(1,
+    max|a_ij|), the penalty weight rising from 0.25 to 4096, by 4x per phase.
     Each step adds the normalized gradient, scaled by 0.06 / (1 + 4t/iters),
     to a velocity that keeps half its previous value; the velocity starts
     at zero in every phase, because each new penalty weight changes the
@@ -141,15 +148,17 @@ def _ascend_stack(a: np.ndarray, w0: np.ndarray, iters: int) -> list[np.ndarray 
     restart whose gradient vanishes drops its velocity and takes no
     further step in that phase.
 
-    The gradient kernel (2A, the (R, n, n) Gram/penalty buffers, the
-    gradient itself and the copy of W it reads) runs in float32: it only
-    sets a normalized search direction, so it can move half the bytes.
-    The iterate W, the velocity, the gradient norm, the renormalization
-    and the repair run in float64, so every reported number is float64.
+    The gradient kernel (the scaled 2A, the (R, n, n) Gram/penalty buffers,
+    the gradient itself and the copy of W it reads) runs in float32: it only
+    sets a normalized search direction, so it can move half the bytes, and
+    the scaling keeps 2A and the penalty below float32's 3.4e38.  The
+    iterate W, the velocity, the gradient norm, the renormalization and the
+    repair (of the unscaled A) run in float64, so every reported number is
+    float64.
     """
     n_r, n, _ = w0.shape
     scale = max(1.0, float(np.max(np.abs(a))))
-    a2 = (2.0 * a).astype(np.float32)
+    a2 = (2.0 * (a / scale)).astype(np.float32)
     w = w0.copy()
     w32 = np.empty(w.shape, dtype=np.float32)
     g = np.empty((n_r, n, n), dtype=np.float32)
@@ -158,7 +167,7 @@ def _ascend_stack(a: np.ndarray, w0: np.ndarray, iters: int) -> list[np.ndarray 
     grad = np.empty_like(w)
     best_w: list[np.ndarray | None] = [None] * n_r
     best_obj = [-math.inf] * n_r
-    mu = 0.25 * scale
+    mu = 0.25
     vel = np.empty_like(w)
     for _phase in range(8):
         moving = np.ones((n_r, 1, 1), dtype=bool)
@@ -175,9 +184,9 @@ def _ascend_stack(a: np.ndarray, w0: np.ndarray, iters: int) -> list[np.ndarray 
             w += vel
             w /= np.sqrt(np.add.reduce(w * w, axis=(1, 2), keepdims=True))
         for r in range(n_r):
-            repaired = _repair(a, w[r])
-            if repaired is not None and repaired[0] > best_obj[r]:
-                best_obj[r], best_w[r] = repaired
+            obj, repaired = _repair(a, w[r])
+            if obj > best_obj[r]:
+                best_obj[r], best_w[r] = obj, repaired
         mu *= 4.0
     return best_w
 
@@ -224,9 +233,5 @@ def sdp_solve(
             sol = GramSolution.build(inst, w)
             if sdp_feasibility(sol)[0]:
                 candidates.append(sol)
-    best = candidates[0]
-    for sol in candidates[1:]:
-        if sol.objective > best.objective:
-            best = sol
-    return best
+    return max(candidates, key=lambda sol: sol.objective)
 

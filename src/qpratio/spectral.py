@@ -25,8 +25,9 @@ that ratio under x -> W^{1/2} x.
 The roundings (trevisan_round under the degrees, psd_polylog_round and
 solve_high_opt under unit weights) score each {-1, 0, 1} candidate as an int
 array with core._keep_better, which builds an Assignment only for a candidate
-that beats the best so far; a tie keeps the earlier one.  A matrix with a NaN
-or infinite entry, a tol that is not a finite number >= 0, a non-finite
+that beats the best so far; a tie keeps the earlier one.  An empty matrix,
+one whose entries are not bool, integer or float, or one with a NaN or
+infinite entry, a tol that is not a finite number >= 0, a non-finite
 rounding vector or PSD diagonal, and degrees that overflow float64 are
 refused with ValidationError.
 """
@@ -81,20 +82,26 @@ def _max_asymmetry(a: np.ndarray) -> float:
     """max |a_ij - a_ji|, read in 128-row blocks of the upper triangle so that
     the transposed side is read a few cache lines per row, not one element.
     A NaN or infinite entry makes some difference NaN or inf (a diagonal one
-    against itself), and np.maximum carries a NaN through to the result."""
+    against itself), and np.maximum carries a NaN through to the result;
+    _symmetric refuses both, so their subtraction warnings are silenced."""
     worst = 0.0
-    for r in range(0, a.shape[0], 128):
-        diff = a[r : r + 128, r:] - a[r:, r : r + 128].T
-        worst = float(np.maximum(worst, np.max(np.abs(diff))))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for r in range(0, a.shape[0], 128):
+            diff = a[r : r + 128, r:] - a[r:, r : r + 128].T
+            worst = float(np.maximum(worst, np.max(np.abs(diff))))
     return worst
 
 
 def _symmetric(matrix) -> np.ndarray:
-    """matrix as a float64 array, refused unless square, finite and symmetric
-    to 1e-9; the asymmetry pass finds the non-finite entries too."""
-    a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    """matrix as a float64 array, refused unless real (bool, integer or float
+    entries), square, non-empty, finite and symmetric to 1e-9; the asymmetry
+    pass finds the non-finite entries too."""
+    a = np.asarray(matrix)
+    if a.dtype.kind not in "biuf":
+        raise ValidationError(f"expected a real numeric matrix, got dtype {a.dtype}")
+    a = a.astype(np.float64, copy=False)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise ValidationError(f"expected a non-empty square matrix, got shape {a.shape}")
     asym = _max_asymmetry(a)
     # a finite matrix has an infinite asymmetry only when a difference
     # overflows, and the symmetry test below refuses that one
@@ -112,7 +119,8 @@ def _krylov_top(a: np.ndarray, start: np.ndarray, tol: float):
     recurrence and projects the result off the whole basis, a second time
     when the first projection removed more than half its norm, so the basis
     stays orthonormal to working precision and no spurious copy of a
-    converged Ritz value appears.  The basis array grows by doubling.  The
+    converged Ritz value appears.  The basis is allocated once, with a row
+    per step up to the limit; rows never written are never touched.  The
     k x k tridiagonal eigenproblem goes to numpy.linalg.eigh at step 8, then
     12, then where _next_check expects convergence (at most half again as
     many steps), so its O(k^3) cost stays below that of the products.  There
@@ -131,7 +139,7 @@ def _krylov_top(a: np.ndarray, start: np.ndarray, tol: float):
     """
     n = a.shape[0]
     limit = max(2, n // 3)
-    basis = np.empty((16, n))
+    basis = np.empty((limit, n))
     basis[0] = start / np.linalg.norm(start)
     alpha: list[float] = []
     beta: list[float] = []
@@ -167,8 +175,6 @@ def _krylov_top(a: np.ndarray, start: np.ndarray, tol: float):
             check = k + _next_check(k, res, target, last)
             last = (k, res)
         beta.append(after)
-        if k == basis.shape[0]:
-            basis = np.concatenate([basis, np.empty_like(basis)])
         basis[k] = w / after
 
 
@@ -497,12 +503,10 @@ def psd_polylog_round(
         raise ValidationError("PSD rounding needs a finite vector and diagonal")
     a_full = inst.to_dense() + np.diag(dvec)
     scale = 1.0 + float(np.max(np.abs(a_full)))
-    try:
-        np.linalg.cholesky(a_full + np.diag(np.full(n, 1e-8 * scale)))
-    except np.linalg.LinAlgError:
+    if _cholesky_above(-a_full, 1e-8 * scale) is None:
         min_eig = float(np.linalg.eigvalsh(a_full)[0])
         if min_eig < -1e-8 * scale:
-            raise ValidationError(f"completed form is not PSD (min eigenvalue {min_eig:.3e})") from None
+            raise ValidationError(f"completed form is not PSD (min eigenvalue {min_eig:.3e})")
 
     best = trivial_solution(inst)
     floor = 1.0 / (n * n * scale)
@@ -511,7 +515,7 @@ def psd_polylog_round(
     if not np.any(live):
         return best
     xmax = float(np.max(mags[live]))
-    levels = int(math.ceil(math.log2(xmax / floor))) + 1 if xmax > floor else 1
+    levels = int(math.ceil(math.log2(xmax / floor))) + 1
     for k in range(levels):
         hi = xmax / (2.0**k)
         lo = hi / 2.0
@@ -569,8 +573,6 @@ def solve_high_opt(inst: QpRatioInstance, eps: float, seed: int = 0) -> tuple[As
     if dmax <= 0:
         return best
     keep = np.nonzero(d >= (eps / 2.0) * dmax)[0]
-    if keep.size == 0:
-        return best
     sub, kept = restrict(inst, keep)
     if not sub.nnz:
         return best

@@ -147,6 +147,11 @@ class TestRelaxCertify:
         assert main(["relax", star_file, "--method", "sdp", "--restarts", "-1"]) == 2
         assert "restarts" in capsys.readouterr().err
 
+    def test_certify_feasible_gram_at_zero_tol(self, tmp_path):
+        (tmp_path / "in.json").write_text(EDGE)
+        (tmp_path / "g.json").write_text(FEASIBLE_GRAM)
+        assert main(["certify", str(tmp_path / "in.json"), "--gram", str(tmp_path / "g.json"), "--tol", "0"]) == 0
+
     def test_certify_infeasible_exits_2(self, star_file, tmp_path):
         gram = tmp_path / "bad.json"
         gram.write_text(json.dumps({"vectors": [[1.0]] * 6}))
@@ -431,6 +436,11 @@ class TestBoundPastCap:
 
 
 EDGE = '{"kind": "qp_ratio", "n": 2, "entries": [[0, 1, 1.0]]}'
+SQUARE = (
+    '{"kind": "qp_ratio", "n": 4, "entries": [[0, 2, 1.0], [0, 3, -1.0], [1, 2, 0.5], [1, 3, 1.0]],'
+    ' "bipartition": [[0, 1], [2, 3]]}'
+)
+FEASIBLE_GRAM = '{"vectors": [[1.0, 0.0], [0.0, 0.0]]}'
 INTERMEDIATE = '{"kind": "qp_intermediate", "n": 2, "entries": [[0, 1, 1.0]], "diag": [0.0, -0.5]}'
 
 
@@ -571,6 +581,22 @@ class TestBadInput:
                 {"u.json": '{"kind": "ratio_ug", "vertices": 2, "alphabet": 2, "edges": [[0, 1.5, [0, 1]]]}'},
                 "each edge",
             ),
+            (["bench", "cfg.json"], {"cfg.json": '{"seed": -1, "instances": [{"family": "star", "leaves": 3}]}'}, "'seed'"),
+            (
+                ["bench", "cfg.json"],
+                {"cfg.json": '{"instances": [{"family": "random", "n": 6, "seed": -1}]}'},
+                "item 0 'seed'",
+            ),
+            (["gen", "random", "--n", "6", "--seed", "-1", "--out", "o.json"], {}, "seed"),
+            (["relax", "in.json", "--method", "sdp", "--seed", "-1"], {"in.json": EDGE}, "seed"),
+            *(
+                (["solve", "in.json", "--algo", algo, "--seed", "-1"], {"in.json": SQUARE}, "seed")
+                for algo in ("general", "bipartite", "trevisan", "psd", "high-opt")
+            ),
+            *(
+                (["certify", "in.json", "--gram", "g.json", "--tol", tol], {"in.json": EDGE, "g.json": FEASIBLE_GRAM}, "tol")
+                for tol in ("nan", "-1", "inf")
+            ),
         ],
         ids=[
             "null-weight",
@@ -628,6 +654,18 @@ class TestBadInput:
             "reduce-kand-bool-n",
             "reduce-ug-bool-permutation",
             "reduce-ug-fractional-vertex",
+            "bench-seed-negative",
+            "bench-item-seed-negative",
+            "gen-random-seed-negative",
+            "relax-sdp-seed-negative",
+            "solve-general-seed-negative",
+            "solve-bipartite-seed-negative",
+            "solve-trevisan-seed-negative",
+            "solve-psd-seed-negative",
+            "solve-high-opt-seed-negative",
+            "certify-tol-nan",
+            "certify-tol-negative",
+            "certify-tol-inf",
         ],
     )
     def test_exits_2(self, tmp_path, monkeypatch, capsys, argv, files, needle):

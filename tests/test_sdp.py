@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qpratio import sdp
-from qpratio.core import Assignment, QpRatioInstance, ValidationError, eval_qp_ratio, vector_objective
+from qpratio.core import Assignment, EntryArrays, QpRatioInstance, ValidationError, eval_qp_ratio, vector_objective
 from qpratio.exact import brute_force_qp_ratio
 from qpratio.generators import gen_bipartite_gap, gen_gap_sdp_certificate, gen_star, random_instance
 from qpratio.sdp import (
@@ -44,6 +44,12 @@ class TestEmbedding:
     def test_zero_assignment_rejected(self):
         with pytest.raises(Exception):
             embed_assignment(QpRatioInstance(2, ((0, 1, 1.0),)), Assignment((0, 0)))
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_bad_tol_refused(self, tol):
+        sol = embed_assignment(QpRatioInstance(2, ((0, 1, 1.0),)), Assignment((1, 1)))
+        with pytest.raises(ValidationError, match="tol"):
+            sdp_feasibility(sol, tol=tol)
 
     def test_all_zero_vectors_infeasible(self):
         inst = QpRatioInstance(2, ((0, 1, 1.0),))
@@ -96,6 +102,18 @@ class TestSdpSolve:
         ok, _ = sdp_feasibility(sol, tol=1e-9)
         assert ok
         assert sol.objective == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_objective_is_scale_invariant(self):
+        # the ratio problem is scale-invariant, and the float32 ascent kernel
+        # must stay finite for weights past float32's range (3.4e38)
+        base = random_instance(30, 1, density=0.5)
+        i, j, w = base.arrays
+        value = {}
+        for s in (1e10, 1e40):
+            inst = QpRatioInstance(base.n, EntryArrays(i, j, w * s))
+            value[s] = sdp_solve(inst, seed=1).objective / s
+        assert value[1e40] == pytest.approx(value[1e10], rel=1e-6)
 
 
 class TestUpperCheck:
@@ -150,6 +168,19 @@ class TestGramSolution:
         w = np.array([[1.0, 0.0], [0.5, 0.0]])  # <w0,w1>=0.5 > w1^2=0.25
         sol = GramSolution.build(inst, w)
         assert sol.residual_pair == pytest.approx(0.25)
+        # random rows of uneven lengths, n = 1 included, against the pairwise
+        # definition max(0, max_{i != j} |G_ij| - min(G_ii, G_jj)), exactly
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 3, 7, 20, 64):
+            inst = random_instance(n, seed=n)
+            for d in (1, 3):
+                w = rng.standard_normal((n, d)) * rng.uniform(0.1, 2.0, (n, 1))
+                gram = w @ w.T
+                sq = np.einsum("id,id->i", w, w)
+                ref = max(
+                    [0.0] + [abs(gram[i, j]) - min(sq[i], sq[j]) for i in range(n) for j in range(n) if i != j]
+                )
+                assert GramSolution.build(inst, w).residual_pair == ref
 
 
 def reference_grad(a, w, mu):

@@ -153,6 +153,7 @@ class TestEigenMax:
         with pytest.raises(ValidationError, match="tol"):
             eigen_max(np.array([[0.0, 1.0], [1.0, 0.0]]), tol=tol)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_matrix_refused(self, bad):
         small = np.array([[0.0, bad], [bad, 0.0]])
@@ -165,9 +166,31 @@ class TestEigenMax:
                 with pytest.raises(ValidationError, match="non-finite"):
                     fn(m)
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_asymmetry_is_asymmetry(self):
         with pytest.raises(ValidationError, match="not symmetric"):
             eigen_max(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "matrix, needle",
+        [
+            # Hermitian with top eigenvalue 1, while its real part has top eigenvalue 0
+            (np.array([[0, 1j], [-1j, 0]]), "real numeric"),
+            ([["0", "1"], ["1", "0"]], "real numeric"),
+            ([[0.0, None], [None, 0.0]], "real numeric"),
+            (np.zeros((0, 0)), "non-empty square"),
+        ],
+        ids=["complex", "strings", "objects", "empty"],
+    )
+    def test_non_real_or_empty_matrix_refused(self, matrix, needle):
+        for fn in (top_eigenvalue_bound, eigen_max):
+            with pytest.raises(ValidationError, match=needle):
+                fn(matrix)
+
+    def test_bool_and_integer_matrices_accepted(self):
+        for m in ([[False, True], [True, False]], np.array([[0, 1], [1, 0]], dtype=np.uint8)):
+            assert eigen_max(m).lambda_max == pytest.approx(1.0, abs=1e-12)
+            assert 1.0 <= top_eigenvalue_bound(m) <= 1.0 + 1e-12
 
     def test_nonconvergence_carries_residual(self):
         # no floating-point eigenvector has a zero residual on a dense matrix
@@ -308,6 +331,7 @@ class TestRelaxationValues:
             val, x = normalized_eig(inst, seed=seed)
             assert eval_weighted(inst, x, degrees(inst)).value == pytest.approx(val, abs=1e-8)
 
+    @pytest.mark.filterwarnings("error")
     def test_normalized_eig_refuses_overflowing_degrees(self):
         # refused as the normalized bound refuses them
         inst = overflowing_degrees()
@@ -490,6 +514,7 @@ class TestTrevisanRound:
         with pytest.raises(ValidationError, match="finite"):
             trevisan_round(gen_star(3), np.array([bad, 1.0, 0.0, 0.0]))
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_degrees_refused(self):
         with pytest.raises(ValidationError, match="weights"):
             trevisan_round(overflowing_degrees(), np.ones(3))
@@ -660,6 +685,7 @@ class TestHighOpt:
             _, v = solve_high_opt(inst, eps=0.25, seed=seed)
             assert v.value >= trivial_solution(inst)[1].value - 1e-12
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_degrees_refused(self):
         with pytest.raises(ValidationError, match="weights"):
             solve_high_opt(overflowing_degrees(), 0.5)
