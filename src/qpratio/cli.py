@@ -216,8 +216,6 @@ def _csv_writer(fh) -> csv.DictWriter:
 
 def cmd_solve(args) -> int:
     inst = _load_ratio_instance(args.instance)
-    if args.algo == "bipartite" and inst.bipartition is None:
-        raise ValidationError("algorithm 'bipartite' needs an instance with a bipartition")
     t0 = time.perf_counter()
     a, val = _run_algo(inst, args.algo, args.seed, args.eps)
     runtime_ms = int(round(1000 * (time.perf_counter() - t0)))
@@ -520,6 +518,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # solve and relax draw nothing on an instance without entries, where
+        # util.rng_for would never see the seed
+        if args.command in ("solve", "relax") and args.seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (ValidationError, BudgetExceeded, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -458,6 +458,20 @@ def _weight_vector(n: int, weights) -> np.ndarray:
     return w
 
 
+def _finite_vector(n: int, x, what: str = "vector") -> np.ndarray:
+    """x, or an assignment's values, as a flat float64 array, refused unless
+    it holds n finite real (bool, integer or float) numbers."""
+    v = np.asarray(x.values if isinstance(x, (Assignment, FractionalAssignment)) else x)
+    if v.dtype.kind not in "biuf":
+        raise ValidationError(f"{what} must hold real numbers, got dtype {v.dtype}")
+    if v.size != n:
+        raise DimensionMismatch(f"{what} has length {v.size}, expected {n}")
+    v = v.astype(np.float64, copy=False).ravel()
+    if not np.all(np.isfinite(v)):
+        raise ValidationError(f"{what} has a non-finite entry")
+    return v
+
+
 def _quad_sum(inst, x: np.ndarray) -> float:
     """Full symmetric sum sum_{i != j} a_ij x_i x_j (each pair counted twice)."""
     ii, jj, ww = inst.arrays
@@ -476,11 +490,7 @@ def vector_objective(inst: QpRatioInstance, w: np.ndarray) -> float:
 def eval_weighted(inst: QpRatioInstance, x, weights) -> RatioValue:
     """x^T A x / sum_i weights_i x_i^2 for a finite real vector x or an
     assignment's values (ones: the plain ratio; degrees: the normalized one)."""
-    xv = np.asarray(x.values if isinstance(x, (Assignment, FractionalAssignment)) else x, dtype=np.float64).ravel()
-    if xv.size != inst.n:
-        raise DimensionMismatch(f"vector has length {xv.size}, instance has n={inst.n}")
-    if not np.all(np.isfinite(xv)):
-        raise ValidationError("vector has a non-finite entry")
+    xv = _finite_vector(inst.n, x)
     return RatioValue.of(_quad_sum(inst, xv), float(np.dot(_weight_vector(inst.n, weights), xv * xv)))
 
 

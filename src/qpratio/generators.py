@@ -96,10 +96,8 @@ def gen_gap_sdp_certificate(inst: QpRatioInstance) -> GramSolution:
     left, right = inst.bipartition
     w = np.zeros((inst.n, s))
     v_len = math.sqrt(1.0 / (2.0 * s))  # sqrt of 1/(2 sqrt(n))
-    for k, vert in enumerate(left):
-        w[vert, k] = v_len
-    for j, vert in enumerate(right):
-        w[vert] = b[:, j] * (v_len / math.sqrt(n))
+    w[list(left), np.arange(s)] = v_len
+    w[list(right)] = b.T * (v_len / math.sqrt(n))
     return GramSolution.build(inst, w)
 
 

@@ -33,6 +33,7 @@ from .core import (
     QpRatioInstance,
     RatioValue,
     ValidationError,
+    _finite_vector,
     vector_objective,
 )
 from .sdp import GramSolution
@@ -247,17 +248,15 @@ def _clause_matrix(inst: KAndInstance) -> np.ndarray:
 
 def satisfied_literal_counts(inst: KAndInstance, x) -> np.ndarray:
     """Per-clause count of literals satisfied by the +-1 assignment x."""
-    xv = np.asarray(x, dtype=np.float64).ravel()
+    xv = _finite_vector(inst.n, x, "assignment")
     vs, signs = inst.literals
     return np.count_nonzero(xv[vs] == signs, axis=1).astype(np.int64)
 
 
 def theta_value(inst: KAndInstance, f, g, alpha: float) -> RatioValue:
     """vartheta(f, g) = sum_ij a_ij f_i g_j / (alpha mu_f + mu_g)."""
-    fv = np.asarray(f, dtype=np.float64).ravel()
-    gv = np.asarray(g, dtype=np.float64).ravel()
-    if fv.size != inst.n or gv.size != inst.m:
-        raise ValidationError("profile sizes do not match the instance")
+    fv = _finite_vector(inst.n, f, "profile f")
+    gv = _finite_vector(inst.m, g, "profile g")
     num = float(gv @ kand_matrix(inst) @ fv)
     mu_f = float(np.mean(np.abs(fv)))
     mu_g = float(np.mean(np.abs(gv)))

@@ -224,16 +224,12 @@ def solve_bipartite(inst: QpRatioInstance, seed: int = 0) -> tuple[Assignment, R
     sq = np.einsum("id,id->i", w, w)
 
     amat = inst.to_dense()[np.ix_(left, right)]
-
-    max_level = int(math.ceil(math.log2(2 * n))) + 1
-
-    def level_of(s: float) -> int:
-        if s <= 0:
-            return -1
-        return min(max_level, max(0, int(math.floor(-math.log2(min(s, 1.0))))))
-
-    llev = np.array([level_of(float(sq[v])) for v in left])
-    rlev = np.array([level_of(float(sq[v])) for v in right])
+    # preprocessing keeps each nonzero squared length >= 1/n and the total
+    # <= 2, so after the rescaling every nonzero s lies in [1/(4n), 1/2] (up
+    # to rounding) and its level floor(-log2 s) in [0, log2 4n]; -1 marks a
+    # zero vector
+    level = np.array([math.floor(-math.log2(s)) if s > 0 else -1 for s in sq.tolist()])
+    llev, rlev = level[left], level[right]
     best = base
     for kl in sorted(set(llev[llev >= 0])):
         lsel = np.nonzero(llev == kl)[0]

@@ -44,6 +44,7 @@ from .core import (
     QpRatioInstance,
     RatioValue,
     ValidationError,
+    _finite_vector,
     _keep_better,
     _weight_vector,
     degrees,
@@ -370,9 +371,10 @@ def eig_relaxation_value(inst: QpRatioInstance, seed: int = 0) -> float:
 
 def _weighted_matrix(inst: QpRatioInstance, weights: np.ndarray):
     """W^{-1/2} A W^{-1/2} over the vertices of positive weight, with those
-    vertices and W^{-1/2} on them; None when no entry is left.  Unit weights
-    keep the instance and skip the two n^2 scalings by 1.0, 5% of the plain
-    bound at n = 400-1092 (one BLAS thread, 2-core x86-64)."""
+    vertices and W^{-1/2} on them; None when no entry is left.  Entry (i, j)
+    is a_ij (s_i s_j), so the matrix is exactly symmetric.  Unit weights keep
+    the instance and skip the n^2 scaling by 1.0, 5% of the plain bound at
+    n = 400-1092 (one BLAS thread, 2-core x86-64)."""
     keep = np.flatnonzero(weights > 0)
     if not inst.nnz or keep.size == 0:
         return None
@@ -380,8 +382,7 @@ def _weighted_matrix(inst: QpRatioInstance, weights: np.ndarray):
     inv_sqrt = 1.0 / np.sqrt(weights[kept])
     s = sub.to_dense()
     if np.any(inv_sqrt != 1.0):
-        s *= inv_sqrt[:, None]
-        s *= inv_sqrt[None, :]
+        s *= inv_sqrt[:, None] * inv_sqrt
     return s, kept, inv_sqrt
 
 
@@ -433,11 +434,7 @@ def trevisan_round(inst: QpRatioInstance, x) -> tuple[Assignment, RatioValue]:
     maximum over the threshold cuts, the value an evaluation of every cut
     would find.  x must be finite and the degrees must not overflow float64.
     """
-    xv = np.asarray(x, dtype=np.float64).ravel()
-    if xv.size != inst.n:
-        raise ValidationError(f"vector has length {xv.size}, instance has n={inst.n}")
-    if not np.all(np.isfinite(xv)):
-        raise ValidationError("threshold rounding needs a finite vector")
+    xv = _finite_vector(inst.n, x)
     d = _weight_vector(inst.n, degrees(inst))
     mags = np.abs(xv)
     live = mags > 0
@@ -480,27 +477,23 @@ def psd_polylog_round(
     """Level-bucket rounding for instances whose completed form is PSD.
 
     Coordinates below a poly(1/n) floor are dropped, the rest are bucketed
-    into dyadic magnitude levels.  Within a level every coordinate is pushed
-    to the level ceiling with the sign that does not decrease the completed
-    quadratic form (coordinatewise convex since a PSD form has a nonnegative
-    diagonal), then the uniform-magnitude vector is read off as signs.  The
-    form is tracked through the push by its O(n) change per coordinate and
-    recomputed exactly once per level.  Returns the best level candidate or
-    the single-edge baseline.  A completed form with an eigenvalue below
-    -1e-8 (1 + max |entry|) is refused: a Cholesky factorization of the form
-    plus that margin tests it, and only a refusal computes the eigenvalue.
-    A non-finite x or diag is refused too.  Nothing here is random; seed is
-    accepted for callers that pass one.
+    into dyadic magnitude levels.  Within a level one pass pushes every
+    coordinate to the level ceiling with the sign that does not decrease the
+    completed quadratic form (coordinatewise convex since a PSD form has a
+    nonnegative diagonal); a pushed coordinate stands at the ceiling, so a
+    second pass would move nothing.  The uniform-magnitude vector is then read
+    off as signs.  The form is tracked through the push by its O(n) change per
+    coordinate and recomputed exactly once per level.  Returns the best level
+    candidate or the single-edge baseline.  A completed form with an
+    eigenvalue below -1e-8 (1 + max |entry|) is refused: a Cholesky
+    factorization of the form plus that margin tests it, and only a refusal
+    computes the eigenvalue.  An x or diag that core._finite_vector refuses
+    is refused too.  Nothing here is random; seed is accepted for callers
+    that pass one.
     """
     n = inst.n
-    xv = np.asarray(x, dtype=np.float64).ravel()
-    if xv.size != n:
-        raise ValidationError(f"vector has length {xv.size}, instance has n={n}")
-    dvec = np.zeros(n) if diag is None else np.asarray(diag, dtype=np.float64).ravel()
-    if dvec.size != n:
-        raise ValidationError(f"diagonal has length {dvec.size}, instance has n={n}")
-    if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(dvec))):
-        raise ValidationError("PSD rounding needs a finite vector and diagonal")
+    xv = _finite_vector(n, x)
+    dvec = np.zeros(n) if diag is None else _finite_vector(n, diag, "diagonal")
     a_full = inst.to_dense() + np.diag(dvec)
     scale = 1.0 + float(np.max(np.abs(a_full)))
     if _cholesky_above(-a_full, 1e-8 * scale) is None:
@@ -525,27 +518,20 @@ def psd_polylog_round(
         y = np.where(sel, xv, 0.0)
         form = float(y @ a_full @ y)
         idx = np.nonzero(sel)[0]
-        for _sweep in range(2):
-            changed = False
-            for i in idx:
-                y_old = y[i]
-                if abs(y_old) == hi:
-                    continue
-                aii = a_full[i, i]
-                s = float(a_full[i] @ y) - aii * y_old
-                y_new = hi if s >= 0 else -hi
-                if y_new == y_old:
-                    continue
-                y[i] = y_new
-                changed = True
-                delta = 2.0 * (y_new - y_old) * s + aii * (y_new * y_new - y_old * y_old)
-                if delta < -1e-9 * max(1.0, abs(form)):
-                    raise AssertionError(
-                        f"convexity push decreased the completed form: {form} -> {form + delta}"
-                    )
-                form += delta
-            if not changed:
-                break
+        for i in idx:
+            y_old = y[i]
+            if abs(y_old) == hi:
+                continue
+            aii = a_full[i, i]
+            s = float(a_full[i] @ y) - aii * y_old
+            y_new = hi if s >= 0 else -hi
+            y[i] = y_new
+            delta = 2.0 * (y_new - y_old) * s + aii * (y_new * y_new - y_old * y_old)
+            if delta < -1e-9 * max(1.0, abs(form)):
+                raise AssertionError(
+                    f"convexity push decreased the completed form: {form} -> {form + delta}"
+                )
+            form += delta
         exact = float(y @ a_full @ y)
         # both sums carry rounding of about n 2^-53 times the sum of the term
         # magnitudes, hi^2 sum |a_ij| over the level (every coordinate of the
@@ -569,7 +555,7 @@ def solve_high_opt(inst: QpRatioInstance, eps: float, seed: int = 0) -> tuple[As
         raise ValidationError(f"eps must lie in (0,1], got {eps}")
     d = _weight_vector(inst.n, degrees(inst))
     best = trivial_solution(inst)
-    dmax = float(np.max(d)) if d.size else 0.0
+    dmax = float(np.max(d))
     if dmax <= 0:
         return best
     keep = np.nonzero(d >= (eps / 2.0) * dmax)[0]

@@ -436,6 +436,7 @@ class TestBoundPastCap:
 
 
 EDGE = '{"kind": "qp_ratio", "n": 2, "entries": [[0, 1, 1.0]]}'
+EMPTY = '{"kind": "qp_ratio", "n": 3, "entries": [], "bipartition": [[0], [1, 2]]}'
 SQUARE = (
     '{"kind": "qp_ratio", "n": 4, "entries": [[0, 2, 1.0], [0, 3, -1.0], [1, 2, 0.5], [1, 3, 1.0]],'
     ' "bipartition": [[0, 1], [2, 3]]}'
@@ -593,6 +594,13 @@ class TestBadInput:
                 (["solve", "in.json", "--algo", algo, "--seed", "-1"], {"in.json": SQUARE}, "seed")
                 for algo in ("general", "bipartite", "trevisan", "psd", "high-opt")
             ),
+            # no entries: no algorithm draws, so only the shared check sees the seed
+            *(
+                (["solve", "in.json", "--algo", algo, "--seed", "-1"], {"in.json": EMPTY}, "seed must be")
+                for algo in ("general", "bipartite", "trevisan", "psd", "high-opt")
+            ),
+            (["relax", "in.json", "--method", "sdp", "--seed", "-1"], {"in.json": EMPTY}, "seed must be"),
+            (["solve", "in.json", "--algo", "bipartite"], {"in.json": EDGE}, "needs an instance with a bipartition"),
             *(
                 (["certify", "in.json", "--gram", "g.json", "--tol", tol], {"in.json": EDGE, "g.json": FEASIBLE_GRAM}, "tol")
                 for tol in ("nan", "-1", "inf")
@@ -663,6 +671,13 @@ class TestBadInput:
             "solve-trevisan-seed-negative",
             "solve-psd-seed-negative",
             "solve-high-opt-seed-negative",
+            "solve-general-seed-negative-no-entries",
+            "solve-bipartite-seed-negative-no-entries",
+            "solve-trevisan-seed-negative-no-entries",
+            "solve-psd-seed-negative-no-entries",
+            "solve-high-opt-seed-negative-no-entries",
+            "relax-sdp-seed-negative-no-entries",
+            "solve-bipartite-without-bipartition",
             "certify-tol-nan",
             "certify-tol-negative",
             "certify-tol-inf",

@@ -167,6 +167,16 @@ class TestEvalWeighted:
         with pytest.raises(ValidationError, match="weights"):
             eval_weighted(single_edge(1.0), [1.0, 1.0], weights)
 
+    @pytest.mark.parametrize("x", [["1", "0"], np.array([1, None], dtype=object)])
+    def test_non_real_vector_refused(self, x):
+        with pytest.raises(ValidationError, match="real numbers"):
+            eval_weighted(single_edge(1.0), x, [1.0, 1.0])
+
+    @pytest.mark.parametrize("x", [[1.0], [1.0, 1.0, 0.0]])
+    def test_wrong_length_refused(self, x):
+        with pytest.raises(DimensionMismatch, match=f"vector has length {len(x)}, expected 2"):
+            eval_weighted(single_edge(1.0), x, [1.0, 1.0])
+
 
 class TestKeepBetter:
     def test_none_takes_the_first_candidate(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qpratio.core import (
+    DimensionMismatch,
     QpIntermediateInstance,
     QpRatioInstance,
     ValidationError,
@@ -222,6 +223,19 @@ class TestKAnd:
         inst = KAndInstance(3, 3, (((0, 1), (1, 1), (2, -1)),))
         th = theta_value(inst, [1, 1, -1], [1], alpha=1.0)
         assert th.value == pytest.approx(1.5)  # k/2
+
+    @pytest.mark.parametrize("x", [[1] * 7, [1] * 3])
+    def test_counts_refuse_a_wrong_length(self, x):
+        with pytest.raises(DimensionMismatch, match=f"assignment has length {len(x)}, expected 5"):
+            satisfied_literal_counts(gen_kand(5, 4, 2, 1), x)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_theta_refuses_a_non_finite_profile(self, bad):
+        inst = KAndInstance(3, 3, (((0, 1), (1, 1), (2, -1)),))
+        with pytest.raises(ValidationError, match="profile f has a non-finite entry"):
+            theta_value(inst, [1, bad, -1], [1], alpha=1.0)
+        with pytest.raises(ValidationError, match="profile g has a non-finite entry"):
+            theta_value(inst, [1, 1, -1], [bad], alpha=1.0)
 
 
 class TestKandReduction:

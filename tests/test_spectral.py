@@ -493,6 +493,13 @@ class TestWeightedBound:
                 assert bound >= brute_force_weighted_bipartite(base, w)
 
 
+def test_weighted_matrix_is_exactly_symmetric():
+    for inst in (gen_level_graph(LevelGraphParams(eps=1.0 / 3.0)), random_instance(400, seed=1, density=0.05)):
+        s, _, inv_sqrt = spectral._weighted_matrix(inst, degrees(inst))
+        assert np.any(inv_sqrt != 1.0)
+        assert np.array_equal(s, s.T)
+
+
 class TestTrevisanRound:
     def test_single_negative_edge(self):
         inst = QpRatioInstance(2, ((0, 1, -1.0),))
@@ -513,6 +520,11 @@ class TestTrevisanRound:
     def test_non_finite_vector_rejected(self, bad):
         with pytest.raises(ValidationError, match="finite"):
             trevisan_round(gen_star(3), np.array([bad, 1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("x", [["1", "1", "0", "0"], np.array([1.0, None, 0.0, 0.0], dtype=object)])
+    def test_non_real_vector_rejected(self, x):
+        with pytest.raises(ValidationError, match="real numbers"):
+            trevisan_round(gen_star(3), x)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_degrees_refused(self):
@@ -644,6 +656,16 @@ class TestPsdRound:
     ])
     def test_non_finite_input_refused(self, x, diag):
         with pytest.raises(ValidationError, match="finite"):
+            psd_polylog_round(gen_star(3), x, diag=diag)
+
+    @pytest.mark.parametrize("x, diag", [
+        (["1", "1", "0", "0"], [2.0] * 4),
+        (np.array([1.0, None, 0.0, 0.0], dtype=object), [2.0] * 4),
+        ([1.0, 1.0, 0.0, 0.0], ["2"] * 4),
+        ([1.0, 1.0, 0.0, 0.0], np.array([2.0, None, 2.0, 2.0], dtype=object)),
+    ])
+    def test_non_real_input_refused(self, x, diag):
+        with pytest.raises(ValidationError, match="real numbers"):
             psd_polylog_round(gen_star(3), x, diag=diag)
 
     def test_matches_the_recomputing_push(self):
