@@ -63,6 +63,7 @@ from .spectral import (
     normalized_eig,
     psd_polylog_round,
     solve_high_opt,
+    solve_psd,
     top_eigenvalue_bound,
     trevisan_round,
     weighted_eig_value,

@@ -176,19 +176,9 @@ def _run_algo(inst: core.QpRatioInstance, algo: str, seed: int, eps: float):
     if algo == "bipartite":
         return rounding.solve_bipartite(inst, seed=seed)
     if algo == "trevisan":
-        _, x = spectral.normalized_eig(inst, seed=seed)
-        if not np.any(x):
-            return core.trivial_solution(inst)
-        return spectral.trevisan_round(inst, x)
+        return spectral.trevisan_round(inst, spectral.normalized_eig(inst, seed=seed)[1])
     if algo == "psd":
-        if not inst.nnz:
-            return core.trivial_solution(inst)
-        m = inst.to_dense()
-        res = spectral.eigen_max(m, seed=seed)
-        # canonical PSD completion: lift the diagonal by the certified top
-        # eigenvalue of -A, which proves A + shift I positive definite
-        shift = max(0.0, spectral.top_eigenvalue_bound(-m))
-        return spectral.psd_polylog_round(inst, res.vector, diag=np.full(inst.n, shift))
+        return spectral.solve_psd(inst, seed=seed)
     if algo == "high-opt":
         return spectral.solve_high_opt(inst, eps, seed=seed)
     raise ValidationError(f"unknown algorithm {algo!r}")

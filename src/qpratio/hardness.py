@@ -273,9 +273,14 @@ class KandMapping:
     alpha: float
 
     def embed(self, f, g) -> Assignment:
-        fv = [int(v) for v in np.asarray(f).ravel()]
-        gv = [int(v) for v in np.asarray(g).ravel()]
-        return Assignment(tuple(fv * self.w + gv))
+        """w copies of the variable profile f (n values), then the clause
+        profile g (m values), every value in {-1, 0, 1}."""
+        fv = _finite_vector(self.n, f, "profile f")
+        gv = _finite_vector(self.m, g, "profile g")
+        vals = np.concatenate([np.tile(fv, self.w), gv])
+        if not np.isin(vals, (-1.0, 0.0, 1.0)).all():
+            raise ValidationError("profile values must lie in {-1, 0, 1}")
+        return Assignment(tuple(vals.astype(np.int64).tolist()))
 
     def extract(self, a: Assignment) -> tuple[np.ndarray, np.ndarray]:
         vals = np.array(a.values)

@@ -268,6 +268,19 @@ class TestKandReduction:
         assert mapping.mu_f(a) == pytest.approx(2 / 3)
         assert mapping.mu_g(a) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("f, g, error", [
+        # a value outside {-1, 0, 1} is refused, not truncated
+        ([0.7, -1.9, 1, 0], [1, 1, 1], ValidationError),
+        ([2, 0, 1, 0], [1, 1, 1], ValidationError),
+        ([1, 0, 1, 0], [1, 1, np.nan], ValidationError),
+        # a profile of the wrong length is refused, not spliced
+        ([1, 1, 1], [1, 1, 1], DimensionMismatch),
+    ])
+    def test_embed_refuses_bad_profiles(self, f, g, error):
+        _, mapping = kand_to_qpratio(gen_kand(4, 3, 2, 1), 0.5)
+        with pytest.raises(error):
+            mapping.embed(f, g)
+
     @pytest.mark.parametrize("n, m, k", KAND_SHAPES)
     def test_matches_the_triple_loop(self, n, m, k):
         for seed, planted in ((0, None), (1, None), (2, ([1, -1] * n)[:n])):

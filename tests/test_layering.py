@@ -73,20 +73,29 @@ def test_no_module_reads_the_entries_tuple():
     assert not reads, "reads of .entries: " + ", ".join(reads)
 
 
+def test_cli_holds_no_dense_or_eigen_pipeline():
+    # each algorithm is one library call; the matrix and its eigenpairs
+    # stay inside spectral and rounding
+    pipeline = {"eigen_max", "top_eigenvalue_bound", "psd_polylog_round", "to_dense"}
+    reads = [
+        f"cli.py:{node.lineno} {name}"
+        for node in ast.walk(parse("cli"))
+        if (name := getattr(node, "attr", getattr(node, "id", None))) in pipeline
+    ]
+    assert not reads, "pipeline reads in the CLI: " + ", ".join(reads)
+
+
 def test_spectral_path_does_not_import_scipy():
     # importing scipy.sparse.linalg alone takes longer than the dense solves
     # at the sizes the spectral path serves
     code = """
 import sys
-import numpy as np
 import qpratio
 from qpratio import generators, spectral
 inst = generators.random_instance(400, 1, density=0.05)
 spectral.eig_relaxation_value(inst, seed=1)
 spectral.normalized_eig(inst, seed=1)
-top = spectral.eigen_max(inst.to_dense(), seed=1)
-shift = max(0.0, spectral.top_eigenvalue_bound(-inst.to_dense()))
-spectral.psd_polylog_round(inst, top.vector, diag=np.full(inst.n, shift))
+spectral.solve_psd(inst, seed=1)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent), OPENBLAS_NUM_THREADS="1")

@@ -500,6 +500,14 @@ def test_weighted_matrix_is_exactly_symmetric():
         assert np.array_equal(s, s.T)
 
 
+def test_weighted_matrix_blocks_give_the_one_shot_bits():
+    # 150 rows: two full 64-row blocks and a partial one
+    inst = random_instance(150, seed=3, density=0.3)
+    s, kept, inv_sqrt = spectral._weighted_matrix(inst, degrees(inst))
+    assert kept.size == 150
+    assert np.array_equal(s, inst.to_dense() * (inv_sqrt[:, None] * inv_sqrt))
+
+
 class TestTrevisanRound:
     def test_single_negative_edge(self):
         inst = QpRatioInstance(2, ((0, 1, -1.0),))
@@ -512,9 +520,16 @@ class TestTrevisanRound:
         a, _ = trevisan_round(inst, np.array([0.5, -0.5, 0.5]))
         assert a.values == (1, -1, 1)
 
-    def test_zero_vector_rejected(self):
-        with pytest.raises(Exception):
-            trevisan_round(QpRatioInstance(2, ((0, 1, 1.0),)), np.zeros(2))
+    @pytest.mark.parametrize("inst", [
+        QpRatioInstance(3, ((0, 1, 1.0), (1, 2, -2.0))),
+        QpRatioInstance(4, ((0, 1, 0.0), (2, 3, 0.0))),
+        QpRatioInstance(3, ()),
+    ], ids=["edges", "weight-0-entries", "no-entries"])
+    def test_zero_vector_gives_the_baseline(self, inst):
+        # no threshold, so the single edge scored under the degrees
+        a, v = trevisan_round(inst, np.zeros(inst.n))
+        assert a == trivial_solution(inst)[0]
+        assert v == eval_weighted(inst, a, degrees(inst))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_vector_rejected(self, bad):
@@ -679,6 +694,19 @@ class TestPsdRound:
                 assert psd_polylog_round(inst, x, diag=diag) == reference_psd_polylog_round(inst, x, diag)
 
 
+class TestSolvePsd:
+    def test_lifts_by_the_certified_bound_of_minus_a(self):
+        for k, inst in enumerate([random_instance(30, seed=4, density=0.3), gen_star(7), gen_bipartite_gap(16, seed=1)]):
+            a = inst.to_dense()
+            top = eigen_max(a, seed=k)
+            diag = np.full(inst.n, max(0.0, top_eigenvalue_bound(-a)))
+            assert spectral.solve_psd(inst, seed=k) == psd_polylog_round(inst, top.vector, diag=diag)
+
+    @pytest.mark.parametrize("inst", [QpRatioInstance(3, ()), QpRatioInstance(4, ((0, 1, 0.0),))])
+    def test_entry_free_or_zero_weight_gives_the_baseline(self, inst):
+        assert spectral.solve_psd(inst, seed=1) == trivial_solution(inst)
+
+
 class TestHighOpt:
     def test_regular_instance_matches_unfiltered_pipeline(self):
         inst = QpRatioInstance(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)))
@@ -715,3 +743,15 @@ class TestHighOpt:
     def test_bad_eps_rejected(self):
         with pytest.raises(Exception):
             solve_high_opt(gen_star(3), eps=0.0)
+
+    @pytest.mark.parametrize("inst", [
+        # every degree is 0
+        QpRatioInstance(3, ()),
+        QpRatioInstance(4, ((0, 1, 0.0), (2, 3, 0.0))),
+        # the filter keeps the center alone, so no entry
+        gen_star(4),
+        # the filter keeps the two centers and their weight-0 entry
+        QpRatioInstance(10, ((0, 1, 0.0),) + tuple((k // 6, k, 1.0) for k in range(2, 10))),
+    ])
+    def test_kept_entries_of_weight_0_give_the_baseline(self, inst):
+        assert solve_high_opt(inst, eps=1.0, seed=1) == trivial_solution(inst)
