@@ -472,12 +472,25 @@ def _finite_vector(n: int, x, what: str = "vector") -> np.ndarray:
     return v
 
 
-def _quad_sum(inst, x: np.ndarray) -> float:
-    """Full symmetric sum sum_{i != j} a_ij x_i x_j (each pair counted twice)."""
+# entry terms _scores forms at once (128 kB of float64: larger blocks
+# raised the general-sdp benchmark's peak RSS and ran no faster)
+_SCORE_TERMS = 1 << 14
+
+
+def _scores(inst, rows: np.ndarray, weights: np.ndarray) -> list[tuple[float, float]]:
+    """(sum_{i != j} a_ij x_i x_j, sum_i weights_i x_i^2), each pair counted
+    twice, of each row x of the 2-d array rows.  The entry terms of a block
+    of rows are formed at once, but each row is summed on its own (add.reduce
+    of its terms, weights.dot(x*x)), so it scores the same bits in any stack,
+    which a sum along axis 1 may not."""
     ii, jj, ww = inst.arrays
-    if ww.size == 0:
-        return 0.0
-    return float(2.0 * np.sum(ww * x[ii] * x[jj]))
+    block = max(1, _SCORE_TERMS // max(1, ww.size))
+    out = []
+    for start in range(0, rows.shape[0], block):
+        x = rows[start : start + block].astype(np.float64, copy=False)
+        terms = ww * x.take(ii, axis=1) * x.take(jj, axis=1)
+        out += [(float(2.0 * np.add.reduce(t)), float(weights.dot(r * r))) for t, r in zip(terms, x)]
+    return out
 
 
 def vector_objective(inst: QpRatioInstance, w: np.ndarray) -> float:
@@ -491,7 +504,7 @@ def eval_weighted(inst: QpRatioInstance, x, weights) -> RatioValue:
     """x^T A x / sum_i weights_i x_i^2 for a finite real vector x or an
     assignment's values (ones: the plain ratio; degrees: the normalized one)."""
     xv = _finite_vector(inst.n, x)
-    return RatioValue.of(_quad_sum(inst, xv), float(np.dot(_weight_vector(inst.n, weights), xv * xv)))
+    return RatioValue.of(*_scores(inst, xv[None], _weight_vector(inst.n, weights))[0])
 
 
 def eval_qp_ratio(inst: QpRatioInstance, a) -> RatioValue:
@@ -506,11 +519,17 @@ def eval_normalized_qp_ratio(inst: QpRatioInstance, a) -> RatioValue:
 
 def _keep_better(inst: QpRatioInstance, best, x: np.ndarray, weights):
     """The better of best, an (Assignment, RatioValue) pair or None, and the
-    {-1, 0, 1} int array x scored by eval_weighted: x wins only when best is
-    None or x's value is strictly higher, and only a winner becomes an Assignment."""
-    val = eval_weighted(inst, x, weights)
-    if best is None or val.value > best[1].value:
-        return Assignment(tuple(x.tolist())), val
+    {-1, 0, 1} int array x, one row or a stack of rows, each scored with the
+    bits eval_weighted gives it: the first row of the highest value wins
+    only when best is None or that value is strictly higher, and only a
+    winner becomes an Assignment."""
+    rows = np.atleast_2d(x)
+    if rows.shape[1] != inst.n:
+        raise DimensionMismatch(f"candidate has length {rows.shape[1]}, expected {inst.n}")
+    vals = [RatioValue.of(num, den) for num, den in _scores(inst, rows, _weight_vector(inst.n, weights))]
+    k = max(range(len(vals)), key=lambda r: vals[r].value)
+    if best is None or vals[k].value > best[1].value:
+        return Assignment(tuple(rows[k].tolist())), vals[k]
     return best
 
 
@@ -518,9 +537,8 @@ def eval_qp_intermediate(inst: QpIntermediateInstance, x) -> RatioValue:
     """x^T A x (diagonal included) over sum_i |x_i|."""
     x = FractionalAssignment.coerce(x, inst.n)
     xv = x.to_array()
-    num = _quad_sum(inst, xv) + float(np.dot(inst.diag, xv * xv))
-    den = float(np.sum(np.abs(xv)))
-    return RatioValue.of(num, den)
+    off, on = _scores(inst, xv[None], np.array(inst.diag))[0]
+    return RatioValue.of(off + on, float(np.sum(np.abs(xv))))
 
 
 def trivial_solution(inst: QpRatioInstance) -> tuple[Assignment, RatioValue]:

@@ -13,10 +13,11 @@ then scored as a stream of blocks of a few head rows against all 3^t tail
 rows.  Each block is a small array that stays in cache, and only the rows
 near the best score so far are kept, so memory grows with the number of
 near-ties of the best value, not with n.  Those
-scores round differently from the per-entry reference formulas, so every
-assignment within a stated floating-point error bound of the best is
-rescored by the reference formulas before the first maximum is taken; the
-result is the one a per-entry enumeration of all 3^n rows gives.
+scores round differently from core's evaluator, so every assignment within
+a stated floating-point error bound of the best is rescored by
+core._keep_better, which gives each row the bits eval_weighted gives it,
+before the first maximum is taken; the result is the one eval_weighted of
+all 3^n rows gives.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ from .core import (
     QpRatioInstance,
     RatioValue,
     ValidationError,
+    _keep_better,
     degrees,
+    eval_qp_intermediate,
     restrict,
 )
 from .hardness import PartialLabeling, eval_ratio_ug
@@ -70,21 +73,6 @@ def _assignment_grid(n: int) -> np.ndarray:
     column-major, so its transpose (one row per variable) is contiguous.
     """
     return np.indices((3,) * n, dtype=np.int8).reshape(n, 3**n).T - 1
-
-
-def _numerators(inst, x_rows: np.ndarray) -> np.ndarray:
-    num = np.zeros(x_rows.shape[0], dtype=np.float64)
-    for i, j, w in zip(*(col.tolist() for col in inst.arrays)):
-        num += (2.0 * w) * (x_rows[:, i].astype(np.float64) * x_rows[:, j])
-    return num
-
-
-def _denominators(x_rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_i weights_i |x_i| per row, summed in index order."""
-    den = np.zeros(x_rows.shape[0], dtype=np.float64)
-    for i, w in enumerate(weights):
-        den += w * np.abs(x_rows[:, i])
-    return den
 
 
 def _split_scorer(inst: QpRatioInstance, weights: np.ndarray, head: np.ndarray, tail: np.ndarray):
@@ -128,23 +116,24 @@ def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def _brute_force(inst: QpRatioInstance, cap: int, weights: np.ndarray) -> tuple[Assignment, RatioValue]:
-    """First maximizer, in lexicographic order, of num(x) / sum_i weights_i |x_i|.
+    """First maximizer, in lexicographic order, of eval_weighted(inst, x, weights).
 
     The weights are nonnegative: all 1 for the plain ratio, the degrees for
     the normalized one.  Instances with n above ``cap``, or above 14 whatever
     ``cap`` says, are refused before anything is allocated.  An instance
-    without entries returns all -1 at once, and zero-weight variables without
-    entries are set to -1 before the rest is enumerated: in both cases that is
-    the first maximizer, and the enumeration no longer keeps every tied row.
+    without an entry of nonzero weight returns all -1 at once, and zero-weight
+    variables without such an entry are set to -1 before the rest is
+    enumerated: in both cases that is the first maximizer, since such a
+    variable changes no value, and the enumeration no longer keeps every
+    tied row.
 
     Every assignment is scored by the head x tail split, ``_HEAD_BLOCK``
     head rows at a time; the rows whose score is within ``delta`` of the
-    best are rescored by the reference formulas (per entry in canonical
-    entry order, denominators in index order), and the first maximum of
-    those is returned.  A block keeps its rows within ``delta`` of the best
-    score seen so far, which never exceeds the final best, so no row within
-    ``delta`` of the final best is dropped; the rows kept are then cut to
-    that window.
+    best are scored by core._keep_better, with the bits eval_weighted gives
+    them, and the first maximum of those is returned.  A block keeps its
+    rows within ``delta`` of the best score seen so far, which never exceeds
+    the final best, so no row within ``delta`` of the final best is dropped;
+    the rows kept are then cut to that window.
 
     ``scale`` bounds sum_{i,j in supp x} |a_ij| / den(x) for every x with
     den(x) > 0.  Let z_i = sum_{j: weights_j = 0} |a_ij|.  If no entry joins
@@ -155,14 +144,15 @@ def _brute_force(inst: QpRatioInstance, cap: int, weights: np.ndarray) -> tuple[
     ``scale`` = max over weights_i > 0 of (d_i + z_i) / weights_i.  With no
     zero weight this is the largest d_i / weights_i (the largest degree, or
     1 when normalized); an entry joining two zero-weight vertices makes it
-    infinite, and then every row is rescored.  The reference numerator sums
-    m terms in sequence and the split one rounds at most 2n + 2 times along
-    any path (BLAS may sum in any order); each denominator rounds at most n
-    times and each quotient once.  With u = 2^-53, the two values of one row
-    thus differ by at most about (m + 4n + 8) u scale, and the first
-    reference maximizer scores within twice that of the best split score.
-    ``delta`` takes twice that again for the second-order terms and the
-    rounding of the degrees.  A finite sum of the degrees keeps every
+    infinite, and then every row is rescored.  eval_weighted sums the m
+    entry terms and the n weighted sizes in orders of its own, so along any
+    path its numerator rounds at most m times and its denominator n times,
+    and the split numerator at most 2n + 2 times (BLAS may sum in any
+    order); each quotient rounds once.  With u = 2^-53, the two values of
+    one row thus differ by at most about (m + 4n + 8) u scale, and the first
+    maximizer of eval_weighted scores within twice that of the best split
+    score.  ``delta`` takes twice that again for the second-order terms and
+    the rounding of the degrees.  A finite sum of the degrees keeps every
     partial sum finite.
     """
     n = inst.n
@@ -172,31 +162,25 @@ def _brute_force(inst: QpRatioInstance, cap: int, weights: np.ndarray) -> tuple[
     d = degrees(inst)
     if not np.isfinite(np.sum(d)):
         raise ValidationError("brute force refused: the sum of |a_ij| overflows float64")
-    if not inst.nnz:
+    if not np.any(inst.arrays.w):
         # every assignment scores 0, so the first one, all -1, is the maximizer
-        first = np.full((1, n), -1, dtype=np.int8)
-        return Assignment((-1,) * n), RatioValue.of(0.0, _denominators(first, weights)[0])
-    free = weights == 0
-    idle = free.copy()
-    idle[inst.arrays[0]] = idle[inst.arrays[1]] = False
-    if idle.any():
-        # a zero-weight variable with no entries changes no score, so the first
-        # maximizer sets it to -1; the others are enumerated on their own, in
-        # the same order, and their entries and weighted sizes keep their order
-        sub, kept = restrict(inst, np.flatnonzero(~idle))
-        a, val = _brute_force(sub, cap, weights[kept])
-        values = np.full(n, -1, dtype=np.int64)
-        values[kept] = a.values
-        return Assignment(tuple(values.tolist())), val
-    z = np.abs(inst.to_dense()) @ free
+        return _keep_better(inst, None, np.full(n, -1, dtype=np.int8), weights)
+    ii, jj, ww = inst.arrays
+    idle = weights == 0
+    idle[ii[ww != 0]] = idle[jj[ww != 0]] = False
+    # the kept variables' entries and weighted sizes keep their order
+    sub, kept = restrict(inst, np.flatnonzero(~idle))
+    w = weights[kept]
+    free = w == 0
+    z = np.abs(sub.to_dense()) @ free
     if np.any(z[free] > 0):
         scale = math.inf
     else:
-        scale = float(np.max((d + z)[~free] / weights[~free], initial=0.0))
-    t = min(n, _TAIL)
-    head, tail = _assignment_grid(n - t), _assignment_grid(t)
-    score = _split_scorer(inst, weights, head, tail)
-    delta = 4.0 * (inst.nnz + 4 * n + 8) * 2.0**-53 * scale
+        scale = float(np.max((d[kept] + z)[~free] / w[~free], initial=0.0))
+    t = min(sub.n, _TAIL)
+    head, tail = _assignment_grid(sub.n - t), _assignment_grid(t)
+    score = _split_scorer(sub, w, head, tail)
+    delta = 4.0 * (sub.nnz + 4 * sub.n + 8) * 2.0**-53 * scale
     best = -math.inf
     kept_idx, kept_vals = [], []
     for start in range(0, head.shape[0], _HEAD_BLOCK):
@@ -210,12 +194,9 @@ def _brute_force(inst: QpRatioInstance, cap: int, weights: np.ndarray) -> tuple[
         kept_idx.append(idx + start * tail.shape[0])
     vals, idx = np.concatenate(kept_vals), np.concatenate(kept_idx)
     idx = idx[vals >= best - delta]
-    rows = np.hstack([head[idx // tail.shape[0]], tail[idx % tail.shape[0]]])
-    num = _numerators(inst, rows)
-    den = _denominators(rows, weights)
-    k = int(np.argmax(_ratios(num, den)))
-    a = Assignment(tuple(int(v) for v in rows[k]))
-    return a, RatioValue.of(num[k], den[k])
+    rows = np.full((idx.size, n), -1, dtype=np.int8)
+    rows[:, kept] = np.hstack([head[idx // tail.shape[0]], tail[idx % tail.shape[0]]])
+    return _keep_better(inst, None, rows, weights)
 
 
 def brute_force_qp_ratio(inst: QpRatioInstance, cap: int = 12) -> tuple[Assignment, RatioValue]:
@@ -290,10 +271,9 @@ def grid_search_intermediate(
         vals = _ratios(num, den)
         k = int(np.argmax(vals))
         if best is None or vals[k] > best[0]:
-            best = (vals[k], rows[k], num[k], den[k])
-    _, row, num_k, den_k = best
-    x = FractionalAssignment(tuple(float(v) for v in row))
-    return x, RatioValue.of(num_k, den_k)
+            best = (vals[k], rows[k])
+    x = FractionalAssignment(tuple(float(v) for v in best[1]))
+    return x, eval_qp_intermediate(inst, x)
 
 
 def brute_force_ratio_ug(ug):

@@ -141,15 +141,13 @@ def round_close_lengths(inst: QpRatioInstance, w: np.ndarray, seed: int = 0) -> 
     wsel = ws[chosen] / p[chosen, None]
     t_scale = 2.0 * math.sqrt(math.log(max(n, 2)))
     rng = rng_for(seed, 0xC1)
-    best = base
-    for _ in range(int(math.ceil(8 * math.log(max(n, 2)))) + 8):
+    trials = np.zeros((int(math.ceil(8 * math.log(max(n, 2)))) + 8, n), dtype=np.int64)
+    for row in trials:
         g = rng.standard_normal(wsel.shape[1])
         z = np.clip((wsel @ g) / t_scale, -1.0, 1.0)
         u = rng.random(chosen.size)
-        vals = np.zeros(n, dtype=np.int64)
-        vals[chosen] = np.sign(z).astype(np.int64) * (u < np.abs(z))
-        best = _keep_better(inst, best, vals, np.ones(n))
-    return best
+        row[chosen] = np.sign(z).astype(np.int64) * (u < np.abs(z))
+    return _keep_better(inst, base, trials, np.ones(n))
 
 
 def _relaxed_vectors(inst: QpRatioInstance, seed: int) -> np.ndarray | None:

@@ -432,11 +432,11 @@ def trevisan_round(inst: QpRatioInstance, x) -> tuple[Assignment, RatioValue]:
     their threshold, bucket each entry at the lower rank of its two ends, and
     suffix sums of the buckets give every cut's numerator and denominator,
     O(nnz + n log n) in all.  The cuts whose swept value lies within the
-    summation-order error of the best are then evaluated exactly with
-    eval_weighted under the degrees, in ascending threshold order, and the
-    first with the largest value wins.  So the returned value is exactly the
-    maximum over the threshold cuts, the value an evaluation of every cut
-    would find.  An x with no nonzero entry gives no cut, and then the
+    summation-order error of the best are then scored as one stack by
+    core._keep_better under the degrees, with the bits eval_weighted gives
+    them, in ascending threshold order, and the first with the largest
+    value wins.  So the returned value is exactly the maximum over the
+    threshold cuts, the value an evaluation of every cut would find.  An x with no nonzero entry gives no cut, and then the
     single-edge baseline is returned, scored under the degrees.  x must be
     finite and the degrees must not overflow float64.
     """
@@ -468,10 +468,8 @@ def trevisan_round(inst: QpRatioInstance, x) -> tuple[Assignment, RatioValue]:
     # |numerator| <= denominator, so a margin of 8 (nnz + n) 2^-53 keeps the
     # exact maximum among the re-scored cuts
     margin = max(1e-12 * abs(top), 8.0 * (ww.size + inst.n) * 2.0**-53)
-    best = None
-    for t in thresholds[swept >= top - margin]:
-        best = _keep_better(inst, best, np.where(mags >= t, signs, 0.0).astype(np.int64), d)
-    return best
+    near = thresholds[swept >= top - margin]
+    return _keep_better(inst, None, np.where(mags >= near[:, None], signs, 0.0).astype(np.int64), d)
 
 
 def psd_polylog_round(
@@ -500,9 +498,15 @@ def psd_polylog_round(
     n = inst.n
     xv = _finite_vector(n, x)
     dvec = np.zeros(n) if diag is None else _finite_vector(n, diag, "diagonal")
-    a_full = inst.to_dense() + np.diag(dvec)
+    a_full = inst.to_dense()
+    a_full.flat[:: n + 1] = dvec
     scale = 1.0 + float(np.max(np.abs(a_full)))
-    if _cholesky_above(-a_full, 1e-8 * scale) is None:
+    # the test factors a_full + cI from a_full negated in place, and negation
+    # is exact, so one n x n copy fewer is live
+    np.negative(a_full, out=a_full)
+    refused = _cholesky_above(a_full, 1e-8 * scale) is None
+    np.negative(a_full, out=a_full)
+    if refused:
         min_eig = float(np.linalg.eigvalsh(a_full)[0])
         if min_eig < -1e-8 * scale:
             raise ValidationError(f"completed form is not PSD (min eigenvalue {min_eig:.3e})")

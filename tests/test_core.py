@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from qpratio import core
 from qpratio.core import (
     Assignment,
     DimensionMismatch,
@@ -209,6 +210,33 @@ class TestKeepBetter:
                 assert a.values == tuple(x.tolist())
                 assert val == eval_weighted(inst, a, weights) == eval_weighted(inst, x, weights)
         assert wins > 0
+
+    @pytest.mark.parametrize("terms", [1 << 20, 64])
+    def test_stack_scores_like_its_rows_folded(self, monkeypatch, terms):
+        # 64 terms per block splits a stack into blocks of one or a few rows
+        monkeypatch.setattr(core, "_SCORE_TERMS", terms)
+        rng = rng_for(28)
+        for n, density in ((9, 1.0), (40, 0.5), (150, 0.2)):
+            inst = random_instance(n, seed=n, density=density)
+            ii, jj, ww = inst.arrays
+            for weights in (np.ones(n), degrees(inst)):
+                x = rng.integers(-1, 2, (12, n))
+                # planted ties: repeated and negated rows score the same bits
+                stack = np.vstack([x, x[::3], -x[1::4]])[rng.permutation(12 + 4 + 3)]
+                for floor in (None, (Assignment((0,) * n), RatioValue.of(0.0, 0.0))):
+                    folded = floor
+                    for row in stack:
+                        folded = _keep_better(inst, folded, row, weights)
+                    assert _keep_better(inst, floor, stack, weights) == folded
+                for row in stack:
+                    # eval_weighted's two sums written out over the row alone
+                    xf = row.astype(np.float64)
+                    num = float(2.0 * np.sum(ww * xf[ii] * xf[jj]))
+                    assert _keep_better(inst, None, row[None], weights)[1] == RatioValue.of(num, np.dot(weights, xf * xf))
+
+    def test_stack_width_refused(self):
+        with pytest.raises(DimensionMismatch, match="candidate has length 3, expected 2"):
+            _keep_better(single_edge(1.0), None, np.ones((4, 3), dtype=np.int64), np.ones(2))
 
 
 class TestEvalIntermediate:

@@ -11,8 +11,11 @@ from qpratio.core import (
     QpIntermediateInstance,
     QpRatioInstance,
     ValidationError,
+    _keep_better,
     degrees,
+    eval_qp_intermediate,
     eval_qp_ratio,
+    eval_weighted,
 )
 from qpratio.exact import (
     BudgetExceeded,
@@ -29,6 +32,14 @@ from qpratio.hardness import UgInstance, gen_kand, kand_to_qpratio
 from qpratio.util import rng_for
 
 
+def per_entry_numerators(inst, rows):
+    """sum_{i != j} a_ij x_i x_j of each row, added entry by entry in canonical order."""
+    num = np.zeros(rows.shape[0])
+    for i, j, w in inst.entries:
+        num += (2.0 * w) * (rows[:, i].astype(np.float64) * rows[:, j])
+    return num
+
+
 def full_grid_oracle(inst, normalized):
     """The 3^n enumeration the oracles used before the head x tail split.
 
@@ -38,9 +49,7 @@ def full_grid_oracle(inst, normalized):
     n = inst.n
     vals = np.array([-1, 0, 1], dtype=np.int8)
     rows = np.stack(np.meshgrid(*([vals] * n), indexing="ij"), axis=-1).reshape(-1, n)
-    num = np.zeros(rows.shape[0])
-    for i, j, w in inst.entries:
-        num += (2.0 * w) * (rows[:, i].astype(np.float64) * rows[:, j])
+    num = per_entry_numerators(inst, rows)
     if normalized:
         den = np.abs(rows).astype(np.float64) @ degrees(inst)
     else:
@@ -70,9 +79,9 @@ def reference_brute_force(inst, weights):
     """The one-array oracle the blocked stream replaced.
 
     All 3^n split scores at once as one 3^h x 3^t array, every row within
-    delta of the best rescored per entry, scale = max d_i / weights_i (so
-    infinite, and every row rescored, when a vertex with an entry has
-    weight 0); returns (assignment, numerator, denominator).
+    delta of the best rescored by the core scorer, scale = max d_i /
+    weights_i (so infinite, and every row rescored, when a vertex with an
+    entry has weight 0); returns (assignment, numerator, denominator).
     """
     n = inst.n
     d = degrees(inst)
@@ -91,10 +100,8 @@ def reference_brute_force(inst, weights):
     delta = 4.0 * (inst.nnz + 4 * n + 8) * 2.0**-53 * scale
     idx = np.flatnonzero(vals >= vals.max() - delta)
     rows = np.hstack([head[idx // 3**t], tail[idx % 3**t]])
-    num = exact._numerators(inst, rows)
-    den = exact._denominators(rows, weights)
-    k = int(np.argmax(np.divide(num, den, out=np.zeros_like(num), where=den > 0)))
-    return tuple(int(v) for v in rows[k]), num[k], den[k]
+    a, v = _keep_better(inst, None, rows, weights)
+    return a.values, v.numerator, v.denominator
 
 
 def bipartite_case(matrix, left_weight):
@@ -130,15 +137,15 @@ def ulps(a, b):
 
 
 def spy_rescored(monkeypatch):
-    """A list that records how many rows each reference rescoring takes."""
+    """A list that records how many rows each rescoring by the core scorer takes."""
     rescored = []
-    numerators = exact._numerators
+    keep_better = exact._keep_better
 
-    def spy(inst, rows):
-        rescored.append(rows.shape[0])
-        return numerators(inst, rows)
+    def spy(inst, best, x, weights):
+        rescored.append(np.atleast_2d(x).shape[0])
+        return keep_better(inst, best, x, weights)
 
-    monkeypatch.setattr(exact, "_numerators", spy)
+    monkeypatch.setattr(exact, "_keep_better", spy)
     return rescored
 
 
@@ -212,7 +219,7 @@ class TestSplitEnumeration:
             t = min(n, 8)
             head, tail = _assignment_grid(n - t), _assignment_grid(t)
             rows = _assignment_grid(n)
-            ref_num = exact._numerators(inst, rows)
+            ref_num = per_entry_numerators(inst, rows)
             scale = 2.0 * sum(abs(w) for _, _, w in inst.entries)
             for weights in (np.ones(n), degrees(inst)):
                 score = _split_scorer(inst, weights, head, tail)
@@ -249,12 +256,32 @@ class TestSplitEnumeration:
         assert (a.values, v.numerator, v.denominator) == (values, num, den)
 
     def test_plain_oracle_bit_identical_to_full_grid(self):
+        # the full grid's first maximizer, with the evaluator's value
         for name, inst in oracle_instances():
-            rows, num, den, k = full_grid_oracle(inst, normalized=False)
+            rows, _, _, k = full_grid_oracle(inst, normalized=False)
             a, v = brute_force_qp_ratio(inst)
             assert a.values == tuple(int(x) for x in rows[k]), name
-            assert (v.numerator, v.denominator) == (num[k], den[k]), name
-            assert v.value == (num[k] / den[k] if den[k] else 0.0), name
+            assert v == eval_weighted(inst, a, np.ones(inst.n)), name
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_value_is_the_evaluators(self, normalized):
+        oracle = brute_force_normalized if normalized else brute_force_qp_ratio
+        for n in range(8, 13):
+            for seed in range(1, 12):
+                for density in (1.0, 0.5):
+                    inst = random_instance(n, seed=seed, density=density)
+                    a, v = oracle(inst)
+                    weights = degrees(inst) if normalized else np.ones(n)
+                    assert v == eval_weighted(inst, a, weights), (n, seed, density)
+
+    def test_no_entry_of_nonzero_weight_scores_one_row(self, monkeypatch):
+        inst = QpRatioInstance(12, tuple((i, i + 1, 0.0) for i in range(11)))
+        rescored = spy_rescored(monkeypatch)
+        for oracle, weights in ((brute_force_qp_ratio, np.ones(12)), (brute_force_normalized, degrees(inst))):
+            a, v = oracle(inst)
+            assert a.values == (-1,) * 12
+            assert v == eval_weighted(inst, a, weights)
+        assert rescored == [1, 1]
 
     def test_normalized_oracle_within_4_ulp_of_full_grid(self):
         for name, inst in oracle_instances():
@@ -271,10 +298,10 @@ class TestSplitEnumeration:
         base = random_instance(10, seed=3, density=0.6)
         inst = QpRatioInstance(10, tuple((i, j, w * 1e-12) for i, j, w in base.entries))
         rescored = spy_rescored(monkeypatch)
-        rows, num, den, k = full_grid_oracle(inst, normalized=False)
+        rows, _, _, k = full_grid_oracle(inst, normalized=False)
         a, v = brute_force_qp_ratio(inst)
         assert a.values == tuple(int(x) for x in rows[k])
-        assert (v.numerator, v.denominator) == (num[k], den[k])
+        assert v == eval_weighted(inst, a, np.ones(10))
         # the error bound scales with the weights, so only near-ties are rescored
         assert rescored == [2]
 
@@ -314,6 +341,16 @@ class TestVariablesWithoutEntries:
                 a, v = oracle(inst)
                 assert (a.values, v.numerator, v.denominator) == reference_brute_force(inst, weights)
 
+    def test_entries_of_weight_0_do_not_count(self, monkeypatch):
+        # vertices 0-10 have degree 0, so weight 0 when normalized; their
+        # weight-0 entries change no value, so they are set to -1 as well
+        inst = QpRatioInstance(12, tuple((i, i + 1, 0.0) for i in range(10)) + ((10, 11, 1.0),))
+        rescored = spy_rescored(monkeypatch)
+        a, v = brute_force_normalized(inst)
+        assert a.values == (-1,) * 12
+        assert v == eval_weighted(inst, a, degrees(inst))
+        assert rescored == [2]
+
     def test_peak_memory(self):
         assert traced_peak(brute_force_qp_ratio, QpRatioInstance(14, ())) <= 4e6
         assert traced_peak(brute_force_normalized, QpRatioInstance(14, ((0, 1, 1.0),))) <= 4e6
@@ -335,7 +372,8 @@ class TestBruteForceNormalized:
 
 
 def full_grid_intermediate(inst, eps):
-    """grid_search_intermediate as one (points x n) array, before blocking."""
+    """The maximizer grid_search_intermediate picks, from one (points x n)
+    array as before blocking."""
     n = inst.n
     delta = 1.0 / (2 * n)
     if inst.norm1() > 0:
@@ -348,7 +386,7 @@ def full_grid_intermediate(inst, eps):
         num += (2.0 * w) * rows[:, i] * rows[:, j]
     den = np.sum(np.abs(rows), axis=1)
     k = int(np.argmax(np.divide(num, den, out=np.zeros_like(num), where=den > 0)))
-    return tuple(float(v) for v in rows[k]), num[k], den[k]
+    return tuple(float(v) for v in rows[k])
 
 
 def grid_cases():
@@ -374,9 +412,18 @@ class TestGridSearch:
         monkeypatch.setattr(exact, "_GRID_BLOCK", block)
         for inst, eps in grid_cases():
             x, v = grid_search_intermediate(inst, eps=eps)
-            ref_x, ref_num, ref_den = full_grid_intermediate(inst, eps)
+            ref_x = full_grid_intermediate(inst, eps)
             assert x.values == ref_x
-            assert (v.numerator, v.denominator) == (ref_num, ref_den)
+            assert v == eval_qp_intermediate(inst, ref_x)
+
+    def test_value_is_the_evaluators(self):
+        rng = rng_for(7, 28)
+        for _ in range(60):
+            n = int(rng.integers(2, 4))
+            entries = tuple((i, j, float(rng.uniform(-1, 1))) for i in range(n) for j in range(i + 1, n))
+            inst = QpIntermediateInstance(n, entries, tuple(-rng.uniform(0, 0.5, n)))
+            x, v = grid_search_intermediate(inst, eps=0.5)
+            assert v == eval_qp_intermediate(inst, x)
 
     def test_memory_bounded_at_default_budget(self):
         inst = QpIntermediateInstance(4, ((0, 1, 1.0),), (0.0,) * 4)

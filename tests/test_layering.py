@@ -85,6 +85,30 @@ def test_cli_holds_no_dense_or_eigen_pipeline():
     assert not reads, "pipeline reads in the CLI: " + ", ".join(reads)
 
 
+def test_only_core_and_closed_forms_build_a_ratio_value():
+    # every value an algorithm or oracle returns is core's evaluator's;
+    # outside core only the closed-form values build one from their own sums
+    allowed = {("hardness", "theta_value"), ("generators", "level_graph_witness_value")}
+    sites = []
+    for name in MODULES:
+        if name == "core":
+            continue
+        tree = parse(name)
+        spans = [
+            (fn.lineno, fn.end_lineno)
+            for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and (name, fn.name) in allowed
+        ]
+        sites += [
+            f"{name}.py:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "RatioValue" in ast.unparse(node.func).split(".")
+            and not any(lo <= node.lineno <= hi for lo, hi in spans)
+        ]
+    assert not sites, "RatioValue built outside core: " + ", ".join(sites)
+
+
 def test_spectral_path_does_not_import_scipy():
     # importing scipy.sparse.linalg alone takes longer than the dense solves
     # at the sizes the spectral path serves

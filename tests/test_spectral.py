@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -692,6 +693,21 @@ class TestPsdRound:
             vectors = [top.vector, rng_for(16, k).standard_normal(inst.n)]
             for x in vectors:
                 assert psd_polylog_round(inst, x, diag=diag) == reference_psd_polylog_round(inst, x, diag)
+
+    def test_peak_holds_three_dense_copies_at_n600(self):
+        # the completed matrix, the shifted copy the test factors and its
+        # factor; a fourth n x n copy alone would pass 3.5 of them
+        n = 600
+        inst = random_instance(n, seed=6, density=0.05)
+        diag = np.full(n, float(np.max(core.degrees(inst))))
+        x = rng_for(6, 28).standard_normal(n)
+        tracemalloc.start()
+        try:
+            psd_polylog_round(inst, x, diag=diag)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * n * n * 8
 
 
 class TestSolvePsd:
